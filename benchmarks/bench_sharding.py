@@ -1,6 +1,6 @@
-"""E15 — sharded scale-out: ingest scaling, query cost, merge fidelity.
+"""E15 — sharded scale-out: ingest scaling, query cost, merge fidelity, estimate cost.
 
-Three acceptance gates for the sharded subsystem (``repro.shard``):
+Four acceptance gates for the sharded subsystem (``repro.shard``):
 
 1. **Ingest scaling** — routing a batch through the
    :class:`~repro.shard.ShardedMutableIndex` write path and ingesting the
@@ -19,6 +19,12 @@ Three acceptance gates for the sharded subsystem (``repro.shard``):
 3. **Merge fidelity** — after replaying a churn log, the sharded
    exact-mode estimate must be *bit-identical* to the unsharded
    streaming estimator's for the same seed, with identical strata.
+4. **Exact-estimate cost** — whole exact-mode LSH-SS estimates through
+   the streaming and the sharded (S = 4) backends, against the static
+   estimator over the same collection and seeds.  Values must be
+   bit-identical; the paper's cost model (§5.1, §6.2: Θ(n) pair
+   evaluations on every path) bounds the bookkeeping overhead.
+   Gates: streaming / static ≤ 1.5×, sharded / static ≤ 2.5×.
 
 Sizes scale down via ``REPRO_BENCH_SHARD_N`` for the CI smoke run.
 """
@@ -32,6 +38,8 @@ from typing import List, Tuple
 import numpy as np
 
 from benchmarks._helpers import churn_log, emit, format_table
+from repro.core import LSHSSEstimator
+from repro.lsh import LSHIndex
 from repro.shard import ShardedMutableIndex, ShardedStreamingEstimator, ShardRouter
 from repro.streaming import MutableLSHIndex, StreamingEstimator
 from repro.vectors import cosine_pairs as static_cosine_pairs
@@ -42,6 +50,9 @@ THRESHOLD = 0.7
 SHARD_COUNTS = (1, 2, 4, 8)
 QUERY_PAIRS = 2000
 QUERY_ROUNDS = 15
+ESTIMATE_THRESHOLDS = (0.9, 0.7, 0.5)
+ESTIMATE_SEEDS = (5, 6)
+ESTIMATE_ROUNDS = 5
 
 
 def _ingest_n() -> int:
@@ -236,4 +247,91 @@ def test_sharded_estimates_bit_identical(dblp_collection, results_dir):
         format_table(["shards", "n", "N_H", "estimate (== unsharded)"], rows,
                      float_format="{:.1f}"),
         results_dir,
+    )
+
+
+def test_exact_estimate_cost_vs_static(benchmark, dblp_collection, results_dir):
+    """Gate 4: exact-mode estimates on the mutable backends vs the static path."""
+    static = LSHSSEstimator(
+        LSHIndex(dblp_collection, num_hashes=NUM_HASHES, random_state=SEED).tables[0]
+    )
+    streaming = StreamingEstimator(
+        MutableLSHIndex.from_collection(
+            dblp_collection, num_hashes=NUM_HASHES, random_state=SEED
+        ),
+        random_state=0,
+    )
+    sharded = ShardedStreamingEstimator(
+        ShardedMutableIndex.from_collection(
+            dblp_collection,
+            num_shards=4,
+            num_hashes=NUM_HASHES,
+            random_state=SEED,
+            shard_estimators=False,
+        )
+    )
+    paths = {
+        "static": lambda threshold, seed: static.estimate(threshold, random_state=seed),
+        "streaming": lambda threshold, seed: streaming.estimate(
+            threshold, random_state=seed, mode="exact"
+        ),
+        "sharded": lambda threshold, seed: sharded.estimate(
+            threshold, random_state=seed, mode="exact"
+        ),
+    }
+    queries = [(t, s) for t in ESTIMATE_THRESHOLDS for s in ESTIMATE_SEEDS]
+    # the bit-identity check doubles as the warm-up (lazy norms, layouts)
+    for threshold, seed in queries:
+        values = {name: path(threshold, seed).value for name, path in paths.items()}
+        assert values["streaming"] == values["static"] == values["sharded"], (
+            f"tau={threshold}, seed={seed}: {values}"
+        )
+
+    def run():
+        # rounds interleave the paths so host drift hits all of them alike;
+        # each path keeps its fastest round
+        best = {name: float("inf") for name in paths}
+        for _ in range(ESTIMATE_ROUNDS):
+            for name, path in paths.items():
+                start = time.perf_counter()
+                for threshold, seed in queries:
+                    path(threshold, seed)
+                best[name] = min(best[name], time.perf_counter() - start)
+        return best
+
+    best = benchmark.pedantic(run, rounds=1, iterations=1)
+    per_estimate = {name: seconds / len(queries) for name, seconds in best.items()}
+    ratios = {
+        name: per_estimate[name] / max(per_estimate["static"], 1e-9)
+        for name in ("streaming", "sharded")
+    }
+    body = format_table(
+        ["path", "per estimate (ms)", "vs static"],
+        [
+            [name, per_estimate[name] * 1000.0, ratios.get(name, 1.0)]
+            for name in paths
+        ],
+        float_format="{:.2f}",
+    )
+    body += (
+        f"\nn={dblp_collection.size}, k={NUM_HASHES}, τ ∈ {ESTIMATE_THRESHOLDS}, "
+        f"seeds {ESTIMATE_SEEDS}, best of {ESTIMATE_ROUNDS} rounds; values "
+        "bit-identical (gates: streaming ≤ 1.5×, sharded S=4 ≤ 2.5×)"
+    )
+    emit(
+        "E15_exact_estimate_cost",
+        "Sharding — exact-mode estimate cost vs the static estimator",
+        body,
+        results_dir,
+        benchmark=benchmark,
+        extra_info={
+            "streaming_vs_static": ratios["streaming"],
+            "sharded_vs_static": ratios["sharded"],
+        },
+    )
+    assert ratios["streaming"] <= 1.5, (
+        f"streaming exact estimates {ratios['streaming']:.2f}x the static path"
+    )
+    assert ratios["sharded"] <= 2.5, (
+        f"sharded exact estimates {ratios['sharded']:.2f}x the static path"
     )

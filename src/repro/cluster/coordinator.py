@@ -63,6 +63,7 @@ from repro.obs.tracing import current_trace_context, get_tracer, trace
 from repro.rng import RandomState, ensure_rng, generator_state, spawn
 from repro.shard.sharded_index import IndexShard, PreparedBatch, ShardedMutableIndex
 from repro.streaming.mutable_index import restore_estimator_states
+from repro.streaming.rowstore import csr_from_segments
 
 DEFAULT_REQUEST_TIMEOUT = 120.0
 DEFAULT_SPAWN_TIMEOUT = 120.0
@@ -213,8 +214,8 @@ class _RemoteTableProxy:
     """The ``primary_table`` stand-in of one remote shard.
 
     Signature keys and bucket sizes answer from the coordinator's own
-    bookkeeping (it routed every insert, so it knows each live id's
-    primary bucket key); only bucket *contents* go to the worker.
+    facade columns (it routed every insert, so it knows each live id's
+    primary bucket); only bucket *contents* go to the worker.
     """
 
     def __init__(self, index: "RemoteIndexProxy") -> None:
@@ -237,16 +238,13 @@ class _RemoteTableProxy:
         return int(self._index._handle.request("stats")["num_buckets"])
 
     def signature_key(self, vector_id: int) -> bytes:
-        try:
-            return self._index._owner._key_of_id[int(vector_id)]
-        except KeyError:
-            raise ValidationError(f"vector id {vector_id} is not in the table") from None
+        return self._index._owner.primary_table.signature_key(vector_id)
 
     def bucket_size_of(self, vector_id: int) -> int:
-        return int(self._index._owner._bucket_refs[self.signature_key(vector_id)][0])
+        return self._index._owner.primary_table.bucket_size_of(vector_id)
 
     def same_bucket(self, u: int, v: int) -> bool:
-        return self.signature_key(u) == self.signature_key(v)
+        return self._index._owner.primary_table.same_bucket(u, v)
 
     def bucket_members_by_key(self, key: bytes) -> List[int]:
         return self._index._handle.request("bucket_members", {"keys": [key]})["members"][0]
@@ -405,10 +403,13 @@ class RemoteIndexProxy:
         return self._handle.request("snapshot")["state"]
 
     def row(self, vector_id: int) -> sparse.csr_matrix:
-        return self._handle.request(
+        reply = self._handle.request(
             "gather_rows",
             {"ids": np.asarray([int(vector_id)], dtype=np.int64), "normalized": False},
-        )["matrix"]
+        )
+        return csr_from_segments(
+            reply["data"], reply["indices"], reply["lengths"], self.dimension
+        )
 
     def check_invariants(self) -> None:
         reply = self._handle.request("check")
@@ -550,9 +551,6 @@ class ClusterCoordinator(ShardedMutableIndex):
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self._metrics = metrics  # resolved lazily by the `metrics` property
-        #: live id → primary bucket key; answers signature_key / SampleL
-        #: rejection tests without any worker round trip
-        self._key_of_id: Dict[int, bytes] = {}
         self._handles: List[WorkerHandle] = []
         self._broken: Optional[str] = None
         self._closed = False
@@ -815,23 +813,19 @@ class ClusterCoordinator(ShardedMutableIndex):
 
     def _gather_rows_on_shard(
         self, shard_id: int, ids: np.ndarray, *, normalized: bool
-    ) -> sparse.csr_matrix:
-        return self._handles[shard_id].request(
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        reply = self._handles[shard_id].request(
             "gather_rows",
             {"ids": np.asarray(ids, dtype=np.int64), "normalized": normalized},
-        )["matrix"]
+        )
+        return reply["data"], reply["indices"], reply["lengths"]
 
     # ------------------------------------------------------------------
-    # mutation (pipelined ingest + key bookkeeping)
+    # mutation (pipelined ingest)
     # ------------------------------------------------------------------
-    def _track_insert(self, vector_id: int, key: bytes, shard_id: int) -> None:
-        super()._track_insert(vector_id, key, shard_id)
-        self._key_of_id[vector_id] = key
-
     def delete(self, vector_id: int) -> None:
         self._check_usable()
-        super().delete(vector_id)  # reads the key via the table proxy first
-        self._key_of_id.pop(vector_id, None)
+        super().delete(vector_id)
 
     def commit_batch(self, batch: PreparedBatch, *, executor: Any = None) -> np.ndarray:
         """Apply a prepared batch with every worker ingesting in parallel.
@@ -965,13 +959,6 @@ class ClusterCoordinator(ShardedMutableIndex):
                 estimator = RemoteEstimatorProxy(handle) if reply["has_estimator"] else None
                 cluster.shards.append(IndexShard(shard_id, proxy, estimator))
             cluster._restore_facade_bookkeeping(state)
-            # rebuild id → primary bucket key from the shard layouts
-            cluster._key_of_id = {
-                int(member): bytes(key)
-                for shard_state in shard_states
-                for key, members in shard_state["tables"][0]
-                for member in members
-            }
             cluster._refresh_owner_alignment()
             restore_estimator_states(cluster, state.get("estimators", ()))
         except BaseException:  # reprolint: disable=R007 - unwind the half-restored cluster before re-raising
@@ -1006,18 +993,14 @@ class ClusterCoordinator(ShardedMutableIndex):
             raise AssertionError("facade live-id count drifted from the shard mirrors")
         if total_buckets != len(self._bucket_refs):
             raise AssertionError("bucket key registry drifted from the workers")
-        if len(self._key_of_id) != self.size:
-            raise AssertionError("id → bucket-key map drifted from the live set")
         wanted: Dict[int, List[bytes]] = {}
-        expected: Dict[int, List[int]] = {}
-        for key, (count, shard_id) in self._bucket_refs.items():
-            wanted.setdefault(shard_id, []).append(key)
-            expected.setdefault(shard_id, []).append(int(count))
-        for shard_id, keys in wanted.items():
-            members = self._bucket_members_on_shard(shard_id, keys)
-            for bucket, count in zip(members, expected[shard_id]):
-                if len(bucket) != count:
-                    raise AssertionError("bucket reference counts drifted from the workers")
+        for key, ref in self._bucket_refs.items():
+            wanted.setdefault(ref[1], []).append(key)
+        self._check_bucket_registry(
+            (key, members)
+            for shard_id, keys in wanted.items()
+            for key, members in zip(keys, self._bucket_members_on_shard(shard_id, keys))
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         status = "closed" if self._closed else ("broken" if self._broken else "live")

@@ -16,7 +16,7 @@ existing serialisations:
 ``insert_prepared``    apply a routed batch slice (ids, CSR rows, signatures)
 ``delete``             delete one id; reply carries its bucket key
 ``bucket_members``     member lists for a batch of owned bucket keys
-``gather_rows``        (normalized) CSR rows for a batch of ids
+``gather_rows``        (normalized) row segments (data, indices, lengths)
 ``sample_pairs``       SampleH / SampleL draw with generator-state shipping
 ``reservoir``          the estimator's current reservoir pairs for a stratum
 ``account_migration``  repair reservoirs after a key-range migration
@@ -178,14 +178,10 @@ class ShardWorker:
         }
 
     def op_gather_rows(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        store = self._require_index()._rows
-        ids = payload["ids"]
-        matrix = (
-            store.gather_normalized(ids)
-            if payload.get("normalized")
-            else store.gather_raw(ids)
+        data, indices, lengths = self._require_index()._rows.segments(
+            payload["ids"], normalized=bool(payload.get("normalized"))
         )
-        return {"matrix": matrix}
+        return {"data": data, "indices": indices, "lengths": lengths}
 
     def op_sample_pairs(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         index = self._require_index()

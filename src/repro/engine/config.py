@@ -81,8 +81,9 @@ class EngineConfig:
     # ------------------------------------------------------------------
     def validate(self) -> None:
         """Check every field, including options against the backend's set."""
-        # late import: backends imports this module for its type hints
+        # late imports: backends imports this module for its type hints
         from repro.engine.backends import resolve_backend
+        from repro.lsh.index import resolve_family
 
         if not isinstance(self.backend, str):
             raise ValidationError(f"backend must be a kind string, got {self.backend!r}")
@@ -92,6 +93,7 @@ class EngineConfig:
                 f"family must be a name string in an EngineConfig "
                 f"(JSON round-trip), got {self.family!r}"
             )
+        resolve_family(self.family)  # unknown names fail here, not at the first estimate
         for name in ("num_hashes", "num_tables", "seed"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):

@@ -35,6 +35,7 @@ exactly like the cluster workers.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import queue
 import socket
@@ -217,6 +218,11 @@ class EstimationServer:
         self._closed = True
         self._stopping.set()
         if self._listener is not None:
+            # close() alone does not wake a thread blocked in accept() on
+            # Linux; shutdown() does, so the acceptor exits at once instead
+            # of outliving the join below parked on a closed descriptor
+            with contextlib.suppress(OSError):
+                self._listener.shutdown(socket.SHUT_RDWR)
             self._listener.close()
         if self._acceptor is not None:
             self._acceptor.join(timeout=10.0)

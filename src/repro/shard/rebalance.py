@@ -388,8 +388,7 @@ def apply_plan(sharded: ShardedMutableIndex, plan: RebalancePlan) -> RebalancePl
         refs[move.key][1] = move.target
     for target, payloads in arrivals.items():
         for payload in payloads:
-            for vector_id in payload["ids"]:
-                sharded._shard_of_id[int(vector_id)] = target
+            sharded._shard_of[np.asarray(payload["ids"], dtype=np.int64)] = target
     sharded._frozen = None
 
     for shard_id in sorted(affected):

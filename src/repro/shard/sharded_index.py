@@ -37,7 +37,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from concurrent.futures import Executor
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Type, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
 from scipy import sparse
@@ -58,18 +58,26 @@ from repro.shard.partition import (
 )
 from repro.streaming.estimator import StreamingEstimator
 from repro.streaming.mutable_index import (
+    BucketOrdinals,
     MutableLSHIndex,
-    MutableLSHTable,
     VectorInput,
     claim_vector_id,
     coerce_matrix,
     coerce_row,
     collect_estimator_states,
     freeze_bucket_layout,
+    frozen_ids,
     restore_estimator_states,
     signature_bucket_key,
 )
-from repro.streaming.rowstore import pairwise_cosine
+from repro.streaming.rowstore import (
+    csr_from_segments,
+    grow_id_column,
+    lookup_id_column,
+    new_id_column,
+    paired_rows_cosine,
+    stitch_segments,
+)
 from repro.vectors.collection import VectorCollection
 
 
@@ -117,7 +125,10 @@ class _MergedPrimaryView:
     """The facade's stand-in for ``index.primary_table``.
 
     Implements the subset of the :class:`MutableLSHTable` surface the
-    estimators and samplers touch, answering from the owning shards.
+    estimators and samplers touch.  Bucket identity answers from the
+    facade's own id-indexed bucket-ordinal column (buckets never
+    straddle shards, so facade ordinals partition the live ids exactly
+    like the shard tables' do) — no per-id hop to the owning shard.
     """
 
     def __init__(self, owner: "ShardedMutableIndex") -> None:
@@ -142,28 +153,22 @@ class _MergedPrimaryView:
     @property
     def bucket_sizes(self) -> np.ndarray:
         return np.asarray(
-            [count for count, _ in self._owner._bucket_refs.values()], dtype=np.int64
+            [ref[0] for ref in self._owner._bucket_refs.values()], dtype=np.int64
         )
-
-    def _shard_table(self, vector_id: int) -> MutableLSHTable:
-        return self._owner.shard_of(vector_id).index.primary_table
 
     def signature_key(self, vector_id: int) -> bytes:
-        return self._shard_table(int(vector_id)).signature_key(int(vector_id))
+        owner = self._owner
+        return owner._ordinals.keys[owner._bucket_ordinal(vector_id)]
 
     def bucket_size_of(self, vector_id: int) -> int:
-        return self._shard_table(int(vector_id)).bucket_size_of(int(vector_id))
+        return self._owner._bucket_refs[self.signature_key(vector_id)][0]
 
     def same_bucket(self, u: int, v: int) -> bool:
-        return self.signature_key(u) == self.signature_key(v)
+        return self._owner._bucket_ordinal(u) == self._owner._bucket_ordinal(v)
 
     def same_bucket_many(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        key = self.signature_key
-        return np.fromiter(
-            (key(int(u)) == key(int(v)) for u, v in zip(left, right)),
-            dtype=bool,
-            count=len(left),
-        )
+        column = self._owner._ordinal_of
+        return lookup_id_column(column, left) == lookup_id_column(column, right)
 
     def sample_collision_pairs(
         self, sample_size: int, *, random_state: RandomState = None
@@ -239,12 +244,10 @@ class ShardedMutableIndex:
         estimator_rngs = spawn(rng, num_shards) if self._shard_estimators else [None] * num_shards
         for shard_id in range(num_shards):
             self.shards.append(self._new_shard(shard_id, estimator_rngs[shard_id]))
-        self._shard_of_id: Dict[int, int] = {}
-        #: primary-table bucket key → [live member count, owning shard];
-        #: dict order mirrors the unsharded table's bucket insertion order
-        self._bucket_refs: Dict[bytes, List[int]] = {}
+        self._reset_bucket_registry()
         self._live_ids: List[int] = []
         self._live_position: Dict[int, int] = {}
+        self._ids_array: Optional[np.ndarray] = None
         self._next_id = 0
         self._observers: List[object] = []
         self._frozen: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None
@@ -375,8 +378,10 @@ class ShardedMutableIndex:
 
     @property
     def ids(self) -> np.ndarray:
-        """Live vector ids (arbitrary but stable order, as unsharded)."""
-        return np.asarray(self._live_ids, dtype=np.int64)
+        """Live vector ids (stable order, as unsharded; read-only, cached per mutation)."""
+        if self._ids_array is None:
+            self._ids_array = frozen_ids(self._live_ids)
+        return self._ids_array
 
     @property
     def total_pairs(self) -> int:
@@ -401,10 +406,15 @@ class ShardedMutableIndex:
 
     def shard_of(self, vector_id: int) -> IndexShard:
         """The shard holding a live vector."""
-        try:
-            return self.shards[self._shard_of_id[vector_id]]
-        except KeyError:
-            raise ValidationError(f"vector id {vector_id} is not in the index") from None
+        if vector_id in self._live_position:
+            return self.shards[int(self._shard_of[vector_id])]
+        raise ValidationError(f"vector id {vector_id} is not in the index")
+
+    def _bucket_ordinal(self, vector_id: int) -> int:
+        """The facade bucket ordinal of a live vector."""
+        if vector_id in self._live_position:
+            return int(self._ordinal_of[vector_id])
+        raise ValidationError(f"vector id {vector_id} is not in the index")
 
     def row(self, vector_id: int) -> sparse.csr_matrix:
         """The stored (raw) vector as a fresh 1×d CSR row."""
@@ -432,15 +442,33 @@ class ShardedMutableIndex:
         )
         return vector_id
 
+    def _reset_bucket_registry(self) -> None:
+        """Empty the facade's bucket registry and its id-indexed columns.
+
+        ``_bucket_refs`` maps a primary-table bucket key to ``[live member
+        count, owning shard, bucket ordinal]``; its dict order mirrors the
+        unsharded table's bucket insertion order.  ``_ordinals`` maps
+        ordinals back to keys, and two dense columns indexed by vector id
+        (``-1`` = absent, the row store's ``_MAX_ID`` contract) give each
+        live id its owning shard and bucket ordinal.
+        """
+        self._bucket_refs: Dict[bytes, List[int]] = {}
+        self._ordinals = BucketOrdinals()
+        self._shard_of = new_id_column()
+        self._ordinal_of = new_id_column()
+
     def _track_insert(self, vector_id: int, key: bytes, shard_id: int) -> None:
-        self._shard_of_id[vector_id] = shard_id
         self._live_position[vector_id] = len(self._live_ids)
         self._live_ids.append(vector_id)
+        self._ids_array = None
         ref = self._bucket_refs.get(key)
         if ref is None:
-            self._bucket_refs[key] = [1, shard_id]
-        else:
-            ref[0] += 1
+            ref = self._bucket_refs[key] = [0, shard_id, self._ordinals.claim(key)]
+        ref[0] += 1
+        self._shard_of = grow_id_column(self._shard_of, vector_id)
+        self._ordinal_of = grow_id_column(self._ordinal_of, vector_id)
+        self._shard_of[vector_id] = shard_id
+        self._ordinal_of[vector_id] = ref[2]
         self._frozen = None
 
     def _owning_shard(self, key: bytes) -> int:
@@ -604,21 +632,22 @@ class ShardedMutableIndex:
 
     def delete(self, vector_id: int) -> None:
         """Remove a live vector from its owning shard."""
-        if vector_id not in self._live_position:
-            raise ValidationError(f"vector id {vector_id} is not in the index")
-        shard_id = self._shard_of_id.pop(vector_id)
-        shard = self.shards[shard_id]
-        key = shard.index.primary_table.signature_key(vector_id)
-        shard.index.delete(vector_id)
+        ordinal = self._bucket_ordinal(vector_id)
+        self.shards[int(self._shard_of[vector_id])].index.delete(vector_id)
+        self._shard_of[vector_id] = -1
+        self._ordinal_of[vector_id] = -1
         position = self._live_position.pop(vector_id)
         last = self._live_ids.pop()
         if last != vector_id:
             self._live_ids[position] = last
             self._live_position[last] = position
+        self._ids_array = None
+        key = self._ordinals.keys[ordinal]
         ref = self._bucket_refs[key]
         ref[0] -= 1
         if ref[0] == 0:
             del self._bucket_refs[key]
+            self._ordinals.release(ordinal)
         self._frozen = None
         for observer in self._observers:
             observer.on_delete(vector_id)
@@ -651,7 +680,7 @@ class ShardedMutableIndex:
         if self._frozen is None:
             wanted: Dict[int, List[bytes]] = {}
             order: List[Tuple[int, int]] = []  # (shard_id, position in its batch)
-            for key, (count, shard_id) in self._bucket_refs.items():
+            for key, (count, shard_id, _ordinal) in self._bucket_refs.items():
                 if count < 2:
                     continue
                 batch = wanted.setdefault(shard_id, [])
@@ -725,44 +754,25 @@ class ShardedMutableIndex:
 
     def _gather_rows_on_shard(
         self, shard_id: int, ids: np.ndarray, *, normalized: bool
-    ) -> sparse.csr_matrix:
-        """Stack the rows of ``ids`` (all living on ``shard_id``) in order.
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row segments ``(data, indices, lengths)`` of ``ids`` (all on ``shard_id``).
 
         The one row accessor of the query-side merge layer — the
         multi-process coordinator overrides it with a worker round trip.
         """
-        store = self.shards[shard_id].index._rows
-        return store.gather_normalized(ids) if normalized else store.gather_raw(ids)
+        return self.shards[shard_id].index._rows.segments(ids, normalized=normalized)
 
-    def _gather(self, ids: np.ndarray, *, normalized: bool) -> sparse.csr_matrix:
-        """Stack rows living on many shards back into the order of ``ids``."""
-        shard_ids = np.fromiter(
-            (self._shard_of_id.get(int(i), -1) for i in ids), dtype=np.int64, count=ids.size
-        )
-        if shard_ids.size and shard_ids.min() < 0:
-            missing = int(ids[int(np.argmin(shard_ids >= 0))])
-            raise ValidationError(f"vector id {missing} is not in the index")
-
-        def gather_on(shard_id: int, subset: np.ndarray) -> sparse.csr_matrix:
-            return self._gather_rows_on_shard(shard_id, subset, normalized=normalized)
-
-        present = np.unique(shard_ids)
-        if present.size == 1:
-            return gather_on(int(present[0]), ids)
-        parts: List[sparse.csr_matrix] = []
-        order: List[np.ndarray] = []
-        for shard_id in present:
+    def _segments(
+        self, ids: np.ndarray, *, normalized: bool
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row segments of ``ids`` gathered from their shards, in ``ids`` order."""
+        shard_ids = lookup_id_column(self._shard_of, ids)
+        parts = []
+        for shard_id in np.unique(shard_ids):
             rows = np.flatnonzero(shard_ids == shard_id)
-            parts.append(gather_on(int(shard_id), ids[rows]))
-            order.append(rows)
-        stacked = sparse.vstack(parts, format="csr")
-        permutation = np.concatenate(order)
-        inverse = np.empty_like(permutation)
-        inverse[permutation] = np.arange(permutation.size)
-        return stacked[inverse]
-
-    def _gather_normalized(self, ids: np.ndarray) -> sparse.csr_matrix:
-        return self._gather(ids, normalized=True)
+            segments = self._gather_rows_on_shard(int(shard_id), ids[rows], normalized=normalized)
+            parts.append((rows, *segments))
+        return stitch_segments(parts, ids.size)
 
     def cosine_pairs(self, left_ids: Sequence[int], right_ids: Sequence[int]) -> np.ndarray:
         """Cosine similarities for live ``(left, right)`` id pairs across shards."""
@@ -772,7 +782,8 @@ class ShardedMutableIndex:
             raise ValidationError("left and right id arrays must have the same length")
         if left.size == 0:
             return np.zeros(0, dtype=np.float64)
-        return pairwise_cosine(self._gather_normalized(left), self._gather_normalized(right))
+        both = self._segments(np.concatenate([left, right]), normalized=True)
+        return paired_rows_cosine(both, left.size, self.dimension)
 
     # ------------------------------------------------------------------
     # export / verification
@@ -781,8 +792,9 @@ class ShardedMutableIndex:
         """Materialise all live vectors as one collection (facade id order)."""
         if not self._live_ids:
             raise ValidationError("cannot materialise an empty index as a collection")
-        ids = self.ids
-        return VectorCollection(self._gather(ids, normalized=False), copy=False), ids
+        ids = self.ids.copy()
+        rows = csr_from_segments(*self._segments(ids, normalized=False), self.dimension)
+        return VectorCollection(rows, copy=False), ids
 
     def check_invariants(self) -> None:
         """Verify the merge bookkeeping against the shards (tests aid)."""
@@ -795,13 +807,38 @@ class ShardedMutableIndex:
             shard.index.check_invariants()
         if sum(shard.size for shard in self.shards) != self.size:
             raise AssertionError("facade live-id count drifted from the shards")
-        for key, (count, shard_id) in self._bucket_refs.items():
-            members = self.shards[shard_id].index.primary_table.bucket_members_by_key(key)
-            if len(members) != count:
-                raise AssertionError("bucket reference counts drifted from the shards")
         total_buckets = sum(shard.index.primary_table.num_buckets for shard in self.shards)
         if total_buckets != len(self._bucket_refs):
             raise AssertionError("bucket key registry drifted from the shards")
+        self._check_bucket_registry(
+            (key, self.shards[ref[1]].index.primary_table.bucket_members_by_key(key))
+            for key, ref in self._bucket_refs.items()
+        )
+
+    def _check_bucket_registry(self, buckets: Iterable[Tuple[bytes, Sequence[int]]]) -> None:
+        """Verify the bucket registry and id columns against shard bucket members.
+
+        ``buckets`` yields ``(key, members)`` for every registered key, as
+        the owning shard reports them.  Each member must carry the key's
+        shard and ordinal in the facade columns, and no other id may
+        carry any.
+        """
+        live = self.ids
+        if not np.array_equal(live, np.asarray(self._live_ids, dtype=np.int64)):
+            raise AssertionError("cached live-id array drifted from the live list")
+        for column, name in ((self._shard_of, "shard"), (self._ordinal_of, "bucket-ordinal")):
+            if int(np.count_nonzero(column >= 0)) != live.size or np.any(column[live] < 0):
+                raise AssertionError(f"{name} column drifted from the live set")
+        for key, members in buckets:
+            count, shard_id, ordinal = self._bucket_refs[key]
+            if len(members) != count:
+                raise AssertionError("bucket reference counts drifted from the shards")
+            member_ids = np.asarray(members, dtype=np.int64)
+            if np.any(self._ordinal_of[member_ids] != ordinal):
+                raise AssertionError(f"bucket-ordinal column drifted at ordinal {ordinal}")
+            if np.any(self._shard_of[member_ids] != shard_id):
+                raise AssertionError(f"shard column drifted for bucket ordinal {ordinal}")
+        self._ordinals.check({key: ref[2] for key, ref in self._bucket_refs.items()})
 
     # ------------------------------------------------------------------
     # snapshot / restore (checkpointing + rebalancing substrate)
@@ -841,10 +878,10 @@ class ShardedMutableIndex:
             "partitioner": partitioner_state(self.partitioner),
             "next_id": self._next_id,
             "live_ids": list(self._live_ids),
-            "shard_of": [self._shard_of_id[i] for i in self._live_ids],
+            "shard_of": self._shard_of[self.ids].tolist(),
             "bucket_refs": [
                 (key, count, shard_id)
-                for key, (count, shard_id) in self._bucket_refs.items()
+                for key, (count, shard_id, _ordinal) in self._bucket_refs.items()
             ],
             "shard_estimators": self._shard_estimators,
             "estimator_kwargs": self._estimator_kwargs,
@@ -925,19 +962,30 @@ class ShardedMutableIndex:
             self._estimator_kwargs["staleness_budget"] = 1.0
 
     def _restore_facade_bookkeeping(self, state: Mapping[str, object]) -> None:
-        """Restore the merge-layer bookkeeping (shared with the cluster restore)."""
+        """Restore the merge-layer bookkeeping (shared with the cluster restore).
+
+        The id columns are derived state: shards come from ``shard_of``,
+        bucket ordinals from the shard states' primary-table layouts
+        (ordinals are assigned in registry order).
+        """
         self._live_ids = [int(i) for i in state["live_ids"]]
         self._live_position = {
             vector_id: position for position, vector_id in enumerate(self._live_ids)
         }
-        self._shard_of_id = {
-            int(vector_id): int(shard_id)
-            for vector_id, shard_id in zip(state["live_ids"], state["shard_of"])
-        }
-        self._bucket_refs = {
-            bytes(key): [int(count), int(shard_id)]
-            for key, count, shard_id in state["bucket_refs"]
-        }
+        self._ids_array = None
+        self._reset_bucket_registry()
+        for key, count, shard_id in state["bucket_refs"]:
+            key = bytes(key)
+            self._bucket_refs[key] = [int(count), int(shard_id), self._ordinals.claim(key)]
+        live = self.ids
+        if live.size:
+            self._shard_of = grow_id_column(self._shard_of, int(live.max()))
+            self._ordinal_of = grow_id_column(self._ordinal_of, int(live.max()))
+            self._shard_of[live] = np.asarray(state["shard_of"], dtype=np.int64)
+        for shard_state in state["shards"]:
+            for key, members in shard_state["tables"][0]:
+                member_ids = np.asarray(members, dtype=np.int64)
+                self._ordinal_of[member_ids] = self._bucket_refs[bytes(key)][2]
         self._next_id = int(state["next_id"])
         self._observers = []
         self._frozen = None

@@ -46,7 +46,14 @@ from repro.lsh.families import LSHFamily
 from repro.lsh.index import resolve_family
 from repro.lsh.table import sample_uniform_pairs, sample_weighted_bucket_pairs
 from repro.rng import RandomState, ensure_rng, spawn
-from repro.streaming.rowstore import _MAX_ID, RowStore, pairwise_cosine
+from repro.streaming.rowstore import (
+    _MAX_ID,
+    RowStore,
+    grow_id_column,
+    lookup_id_column,
+    new_id_column,
+    paired_rows_cosine,
+)
 from repro.vectors.collection import VectorCollection
 
 VectorInput = Union[Mapping[int, float], Sequence[float], np.ndarray, sparse.spmatrix]
@@ -152,15 +159,61 @@ def signature_bucket_key(signature: np.ndarray, num_hashes: int) -> bytes:
     return row.tobytes()
 
 
+class BucketOrdinals:
+    """Ordinal → bucket-key table with a free list.
+
+    Shared by :class:`MutableLSHTable` and the sharded facade, whose
+    id-indexed ordinal columns it backs: a live bucket's ordinal is
+    unique, and an emptied bucket's ordinal is recycled for the next new
+    bucket, so the table stays as long as the peak bucket count.
+    """
+
+    def __init__(self) -> None:
+        #: ordinal → key (``b""`` while the ordinal is free)
+        self.keys: List[bytes] = []
+        self._free: List[int] = []
+
+    def claim(self, key: bytes) -> int:
+        """An ordinal for a newly opened bucket keyed by ``key``."""
+        if self._free:
+            ordinal = self._free.pop()
+            self.keys[ordinal] = key
+        else:
+            ordinal = len(self.keys)
+            self.keys.append(key)
+        return ordinal
+
+    def release(self, ordinal: int) -> None:
+        """Free the ordinal of a bucket that just emptied."""
+        self.keys[ordinal] = b""
+        self._free.append(ordinal)
+
+    def check(self, live: Mapping[bytes, int]) -> None:
+        """Verify the table against ``live`` (key → ordinal of every live bucket)."""
+        for key, ordinal in live.items():
+            if self.keys[ordinal] != key:
+                raise AssertionError(f"bucket-ordinal key table drifted at ordinal {ordinal}")
+        free = set(self._free)
+        if len(free) != len(self._free) or any(self.keys[ordinal] for ordinal in free):
+            raise AssertionError("bucket-ordinal free list overlaps live buckets")
+        if len(free) + len(live) != len(self.keys):
+            raise AssertionError("bucket-ordinal key table leaks ordinals")
+
+
 class MutableLSHTable:
     """One mutable LSH hash table with exact ``N_H`` bookkeeping.
 
-    Buckets are keyed by the serialised signature; members are kept in
-    swap-pop lists with a position map so ``insert`` and ``delete`` are
-    O(1) dictionary operations.  ``num_collision_pairs`` is maintained
-    incrementally: inserting into a bucket of size ``b`` adds ``b`` new
-    co-bucket pairs, deleting from a bucket of size ``b`` removes
-    ``b − 1``.
+    Buckets are keyed by the serialised signature and numbered by a
+    *bucket ordinal* (:class:`BucketOrdinals`): ``_ordinal_of`` is a
+    dense int64 column indexed by vector id (``-1`` = absent, the
+    :class:`~repro.streaming.rowstore.RowStore` dense-id contract), so
+    "same bucket" is one integer comparison and
+    :meth:`same_bucket_many` is a vectorised column test.  Members are
+    kept in swap-pop lists with a position map so ``insert`` and
+    ``delete`` stay O(1) scalar updates.  ``num_collision_pairs`` is
+    maintained incrementally: inserting into a bucket of size ``b`` adds
+    ``b`` new co-bucket pairs, deleting from a bucket of size ``b``
+    removes ``b − 1``.
 
     The weighted bucket-pair sampler (SampleH) uses a lazily rebuilt flat
     CSR-style view of the buckets; the view is invalidated by any
@@ -170,8 +223,13 @@ class MutableLSHTable:
 
     def __init__(self, family: LSHFamily) -> None:
         self.family = family
-        self._key_of: Dict[int, bytes] = {}
-        self._members: Dict[bytes, List[int]] = {}
+        self._clear()
+
+    def _clear(self) -> None:
+        #: bucket key → (ordinal, members); dict order is the bucket insertion order
+        self._buckets: Dict[bytes, Tuple[int, List[int]]] = {}
+        self._ordinals = BucketOrdinals()
+        self._ordinal_of = new_id_column()
         self._position: Dict[int, int] = {}
         self._num_collision_pairs = 0
         self._frozen: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None
@@ -182,7 +240,7 @@ class MutableLSHTable:
     @property
     def num_vectors(self) -> int:
         """Number of live vectors in the table."""
-        return len(self._key_of)
+        return len(self._position)
 
     @property
     def num_hashes(self) -> int:
@@ -192,7 +250,7 @@ class MutableLSHTable:
     @property
     def num_buckets(self) -> int:
         """Number of non-empty buckets."""
-        return len(self._members)
+        return len(self._buckets)
 
     @property
     def num_collision_pairs(self) -> int:
@@ -202,38 +260,36 @@ class MutableLSHTable:
     @property
     def bucket_sizes(self) -> np.ndarray:
         """Sizes of all non-empty buckets (arbitrary but stable order)."""
-        return np.asarray([len(m) for m in self._members.values()], dtype=np.int64)
+        return np.asarray([len(m) for _, m in self._buckets.values()], dtype=np.int64)
 
     def __contains__(self, vector_id: int) -> bool:
-        return vector_id in self._key_of
+        return vector_id in self._position
+
+    def _ordinal(self, vector_id: int) -> int:
+        if vector_id in self._position:
+            return int(self._ordinal_of[vector_id])
+        raise ValidationError(f"vector id {vector_id} is not in the table")
 
     def signature_key(self, vector_id: int) -> bytes:
         """The serialised signature (bucket key) of a live vector."""
-        try:
-            return self._key_of[vector_id]
-        except KeyError:
-            raise ValidationError(f"vector id {vector_id} is not in the table") from None
+        return self._ordinals.keys[self._ordinal(vector_id)]
 
     def bucket_size_of(self, vector_id: int) -> int:
         """Size of the bucket containing ``vector_id``."""
-        return len(self._members[self.signature_key(vector_id)])
+        return len(self._buckets[self.signature_key(vector_id)][1])
 
     def bucket_members_of(self, vector_id: int) -> np.ndarray:
         """Ids sharing a bucket with ``vector_id`` (including itself)."""
-        return np.asarray(self._members[self.signature_key(vector_id)], dtype=np.int64)
+        return np.asarray(self._buckets[self.signature_key(vector_id)][1], dtype=np.int64)
 
     def same_bucket(self, u: int, v: int) -> bool:
         """``True`` iff live vectors ``u`` and ``v`` share a bucket."""
-        return self.signature_key(u) == self.signature_key(v)
+        return self._ordinal(u) == self._ordinal(v)
 
     def same_bucket_many(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`same_bucket` over arrays of live vector ids."""
-        key_of = self._key_of
-        return np.fromiter(
-            (key_of[int(u)] == key_of[int(v)] for u, v in zip(left, right)),
-            dtype=bool,
-            count=len(left),
-        )
+        """Vectorised :meth:`same_bucket`: one bucket-ordinal comparison per pair."""
+        column = self._ordinal_of
+        return lookup_id_column(column, left, "table") == lookup_id_column(column, right, "table")
 
     def bucket_members_by_key(self, key: bytes) -> List[int]:
         """The member list of the bucket keyed by ``key`` (do not mutate).
@@ -242,45 +298,59 @@ class MutableLSHTable:
         one global SampleH layout without copying through an accessor.
         """
         try:
-            return self._members[key]
+            return self._buckets[key][1]
         except KeyError:
             raise ValidationError("no bucket with the given signature key") from None
 
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
+    def _place(self, vector_id: int, key: bytes) -> int:
+        """Append a vector to the bucket keyed by ``key`` (opened if new).
+
+        Returns the bucket's size before.  Validates the id — and grows
+        the ordinal column — before any bucket opens.
+        """
+        self._ordinal_of = grow_id_column(self._ordinal_of, vector_id)
+        entry = self._buckets.get(key)
+        if entry is None:
+            entry = self._buckets[key] = (self._ordinals.claim(key), [])
+        ordinal, bucket = entry
+        size = len(bucket)
+        self._position[vector_id] = size
+        bucket.append(vector_id)
+        self._ordinal_of[vector_id] = ordinal
+        return size
+
     def insert(self, vector_id: int, signature: np.ndarray) -> int:
         """Insert a vector with a precomputed ``(k,)`` signature row.
 
         Returns the number of co-bucket pairs the insertion created (the
         size of the target bucket before insertion).
         """
-        if vector_id in self._key_of:
+        if vector_id in self._position:
             raise ValidationError(f"vector id {vector_id} is already in the table")
-        key = signature_bucket_key(signature, self.num_hashes)
-        bucket = self._members.setdefault(key, [])
-        new_pairs = len(bucket)
-        self._position[vector_id] = len(bucket)
-        bucket.append(vector_id)
-        self._key_of[vector_id] = key
+        new_pairs = self._place(vector_id, signature_bucket_key(signature, self.num_hashes))
         self._num_collision_pairs += new_pairs
         self._frozen = None
         return new_pairs
 
     def delete(self, vector_id: int) -> int:
         """Remove a live vector; returns the number of co-bucket pairs removed."""
-        key = self.signature_key(vector_id)
-        bucket = self._members[key]
+        ordinal = self._ordinal(vector_id)
+        key = self._ordinals.keys[ordinal]
+        bucket = self._buckets[key][1]
         position = self._position.pop(vector_id)
         last = bucket.pop()
         if last != vector_id:
             bucket[position] = last
             self._position[last] = position
-        del self._key_of[vector_id]
+        self._ordinal_of[vector_id] = -1
         removed_pairs = len(bucket)
         self._num_collision_pairs -= removed_pairs
         if not bucket:
-            del self._members[key]
+            del self._buckets[key]
+            self._ordinals.release(ordinal)
         self._frozen = None
         return removed_pairs
 
@@ -291,9 +361,7 @@ class MutableLSHTable:
         """CSR-style (counts, offsets, members_flat, pair_counts) over buckets with ≥ 2 members."""
         if self._frozen is None:
             self._frozen = freeze_bucket_layout(
-                members
-                for members in self._members.values()
-                if len(members) >= 2
+                members for _, members in self._buckets.values() if len(members) >= 2
             )
         return self._frozen
 
@@ -326,30 +394,34 @@ class MutableLSHTable:
         derived from it, so a restored table replays the same draws the
         original would for the same generator state.
         """
-        return [(key, list(members)) for key, members in self._members.items()]
+        return [(key, list(members)) for key, (_, members) in self._buckets.items()]
 
     def load_bucket_state(self, buckets: BucketState) -> None:
-        """Replace the bucket layout with a previously captured state."""
-        self._key_of = {}
-        self._members = {}
-        self._position = {}
-        self._num_collision_pairs = 0
-        self._frozen = None
+        """Replace the bucket layout with a previously captured state.
+
+        The ordinal column and key table are derived state: they are
+        rebuilt here (ordinals in bucket order), never serialised.
+        """
+        self._clear()
         for key, members in buckets:
-            bucket = list(int(member) for member in members)
-            self._members[bytes(key)] = bucket
-            for position, vector_id in enumerate(bucket):
-                if vector_id in self._key_of:
+            key = bytes(key)
+            for member in members:
+                vector_id = int(member)
+                if vector_id in self._position:
                     raise ValidationError(
                         f"bucket state repeats vector id {vector_id}"
                     )
-                self._key_of[vector_id] = bytes(key)
-                self._position[vector_id] = position
-            size = len(bucket)
+                self._place(vector_id, key)
+            size = len(members)
             self._num_collision_pairs += size * (size - 1) // 2
 
     def check_invariants(self) -> None:
-        """Verify the incremental bookkeeping against a from-scratch recount."""
+        """Verify the incremental bookkeeping against a from-scratch recount.
+
+        Covers ``N_H``, the member positions, and the derived ordinal
+        column / key table: every member of a live bucket carries that
+        bucket's ordinal, and no other id carries any.
+        """
         sizes = self.bucket_sizes
         recomputed = int(np.sum(sizes * (sizes - 1) // 2)) if sizes.size else 0
         if recomputed != self._num_collision_pairs:
@@ -357,8 +429,16 @@ class MutableLSHTable:
                 f"N_H bookkeeping drifted: incremental={self._num_collision_pairs}, "
                 f"recount={recomputed}"
             )
-        if int(sizes.sum()) != len(self._key_of) or len(self._position) != len(self._key_of):
+        if int(sizes.sum()) != len(self._position):
             raise AssertionError("member bookkeeping drifted")
+        if int(np.count_nonzero(self._ordinal_of >= 0)) != len(self._position):
+            raise AssertionError("bucket-ordinal column holds ids outside the table")
+        for ordinal, members in self._buckets.values():
+            if not members or any(self._position.get(m) != i for i, m in enumerate(members)):
+                raise AssertionError("member positions drifted")
+            if np.any(self._ordinal_of[np.asarray(members, dtype=np.int64)] != ordinal):
+                raise AssertionError(f"bucket-ordinal column drifted at ordinal {ordinal}")
+        self._ordinals.check({key: ordinal for key, (ordinal, _) in self._buckets.items()})
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (
@@ -387,6 +467,13 @@ def freeze_bucket_layout(
     np.cumsum(counts, out=offsets[1:])
     pair_counts = counts * (counts - 1) // 2
     return counts, offsets, members_flat, pair_counts
+
+
+def frozen_ids(live_ids: Sequence[int]) -> np.ndarray:
+    """A read-only int64 array of ``live_ids`` (the cached ``ids`` of an index)."""
+    array = np.asarray(live_ids, dtype=np.int64)
+    array.flags.writeable = False
+    return array
 
 
 def collect_estimator_states(observers: Sequence[object]) -> List[Dict[str, object]]:
@@ -492,6 +579,8 @@ class MutableLSHIndex:
         self._rows = RowStore(self.dimension)
         self._live_ids: List[int] = []
         self._live_position: Dict[int, int] = {}
+        #: ``_live_ids`` as an array, built once per mutation epoch
+        self._ids_array: Optional[np.ndarray] = None
         self._next_id = 0
         self._observers: List[object] = []
 
@@ -538,8 +627,14 @@ class MutableLSHIndex:
 
     @property
     def ids(self) -> np.ndarray:
-        """Live vector ids (arbitrary but stable order)."""
-        return np.asarray(self._live_ids, dtype=np.int64)
+        """Live vector ids (arbitrary but stable order; a read-only array).
+
+        Cached until the next mutation, so the SampleL rejection loop
+        and repeated estimates between writes share one array.
+        """
+        if self._ids_array is None:
+            self._ids_array = frozen_ids(self._live_ids)
+        return self._ids_array
 
     @property
     def primary_table(self) -> MutableLSHTable:
@@ -620,6 +715,7 @@ class MutableLSHIndex:
         self._rows.add(vector_id, row)
         self._live_position[vector_id] = len(self._live_ids)
         self._live_ids.append(vector_id)
+        self._ids_array = None
         for table, signature in zip(self.tables, signatures):
             table.insert(vector_id, signature)
         for observer in self._observers:
@@ -680,6 +776,8 @@ class MutableLSHIndex:
             vector_id = int(ids[position])
             self._live_position[vector_id] = len(self._live_ids)
             self._live_ids.append(vector_id)
+            # per row: observers notified below may read ``ids`` mid-batch
+            self._ids_array = None
             for table, table_signatures in zip(self.tables, signatures):
                 table.insert(vector_id, table_signatures[position])
             for observer in self._observers:
@@ -697,6 +795,7 @@ class MutableLSHIndex:
         if last != vector_id:
             self._live_ids[position] = last
             self._live_position[last] = position
+        self._ids_array = None
         self._rows.remove(vector_id)
         for observer in self._observers:
             observer.on_delete(vector_id)
@@ -707,9 +806,10 @@ class MutableLSHIndex:
     def cosine_pairs(self, left_ids: Sequence[int], right_ids: Sequence[int]) -> np.ndarray:
         """Cosine similarities for many live ``(left, right)`` id pairs.
 
-        Served from the pooled row store: one vectorised gather per side
-        instead of a per-row ``vstack``, with inverse norms cached lazily
-        (queries pay for normalisation once per row, updates never do).
+        Served from the pooled row store: one vectorised gather for both
+        sides instead of a per-row ``vstack``, with inverse norms cached
+        lazily (queries pay for normalisation once per row, updates
+        never do).
         """
         left = np.asarray(left_ids, dtype=np.int64)
         right = np.asarray(right_ids, dtype=np.int64)
@@ -717,9 +817,8 @@ class MutableLSHIndex:
             raise ValidationError("left and right id arrays must have the same length")
         if left.size == 0:
             return np.zeros(0, dtype=np.float64)
-        rows_left = self._rows.gather_normalized(left)
-        rows_right = self._rows.gather_normalized(right)
-        return pairwise_cosine(rows_left, rows_right)
+        both = self._rows.segments(np.concatenate([left, right]), normalized=True)
+        return paired_rows_cosine(both, left.size, self.dimension)
 
     def sample_collision_pairs(
         self, sample_size: int, *, random_state: RandomState = None
@@ -777,7 +876,7 @@ class MutableLSHIndex:
         """
         if not self._live_ids:
             raise ValidationError("cannot materialise an empty index as a collection")
-        ids = self.ids
+        ids = self.ids.copy()
         stacked = self._rows.gather_raw(ids)
         return VectorCollection(stacked, copy=False), ids
 
@@ -888,6 +987,8 @@ class MutableLSHIndex:
             raise AssertionError("row storage drifted from live-id bookkeeping")
         if set(self._rows) != set(self._live_position):
             raise AssertionError("row storage holds a different id set than the index")
+        if not np.array_equal(self.ids, np.asarray(self._live_ids, dtype=np.int64)):
+            raise AssertionError("cached live-id array drifted from the live list")
         self._rows.check_invariants()
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
@@ -898,6 +999,7 @@ class MutableLSHIndex:
 
 
 __all__ = [
+    "BucketOrdinals",
     "MutableLSHTable",
     "MutableLSHIndex",
     "claim_vector_id",
@@ -905,6 +1007,7 @@ __all__ = [
     "coerce_matrix",
     "signature_bucket_key",
     "freeze_bucket_layout",
+    "frozen_ids",
     "collect_estimator_states",
     "restore_estimator_states",
 ]

@@ -30,7 +30,7 @@ static query path.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Sequence, cast
+from typing import Dict, Iterator, List, Mapping, Sequence, Tuple, cast
 
 import numpy as np
 from scipy import sparse
@@ -45,6 +45,106 @@ _COMPACTION_FLOOR = 4096
 #: count would translate directly into allocated memory; the cap turns a
 #: runaway allocation into a validation error.  2^27 ids = 1 GiB of map.
 _MAX_ID = 1 << 27
+
+
+def new_id_column() -> np.ndarray:
+    """An empty id-indexed int64 column (every id absent: ``-1``)."""
+    return np.full(_MIN_SLOTS, -1, dtype=np.int64)
+
+
+def grow_id_column(column: np.ndarray, vector_id: int) -> np.ndarray:
+    """``column`` grown by doubling (new entries ``-1``) so it covers ``vector_id``.
+
+    Every id-indexed column of the mutable read path (the row store's
+    slot map, the tables' bucket ordinals, the sharded facade's shard
+    and ordinal columns) shares this growth policy and the ``_MAX_ID``
+    cap, so a runaway id is a validation error, never an allocation.
+    Returns ``column`` itself when it already covers the id.
+    """
+    if vector_id < column.size:
+        if vector_id < 0:
+            raise ValidationError(f"vector ids must be >= 0, got {vector_id}")
+        return column
+    if vector_id >= _MAX_ID:
+        raise ValidationError(
+            f"vector id {vector_id} exceeds the supported id space "
+            f"(< {_MAX_ID}); ids must stay dense-ish, they index the "
+            "id columns directly"
+        )
+    grown = np.full(min(max(2 * column.size, vector_id + 1), _MAX_ID), -1, dtype=column.dtype)
+    grown[: column.size] = column
+    return grown
+
+
+def lookup_id_column(
+    column: np.ndarray, vector_ids: np.ndarray, where: str = "index"
+) -> np.ndarray:
+    """``column[vector_ids]`` for an id-indexed column where ``-1`` means absent.
+
+    Raises :class:`~repro.errors.ValidationError` naming the first id
+    that is negative, beyond the column, or absent — never a raw
+    ``IndexError`` or a silently wrapped negative index.
+    """
+    ids = np.asarray(vector_ids, dtype=np.int64)
+    values = column.take(ids, mode="clip")
+    bad = (values < 0) | (ids < 0) | (ids >= column.size)
+    if bad.any():
+        missing = int(ids.flat[int(np.argmax(bad))])
+        raise ValidationError(f"vector id {missing} is not in the {where}")
+    return values
+
+
+def csr_from_segments(
+    data: np.ndarray, indices: np.ndarray, lengths: np.ndarray, dimension: int
+) -> sparse.csr_matrix:
+    """One CSR matrix whose row ``i`` holds the ``i``-th of the concatenated segments."""
+    indptr = np.zeros(lengths.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    return sparse.csr_matrix((data, indices, indptr), shape=(lengths.size, dimension))
+
+
+def stitch_segments(
+    parts: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]], num_rows: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Merge per-store segments into the segments of one row-ordered gather.
+
+    Each part is ``(rows, data, indices, lengths)``: the output rows it
+    fills and the segments :meth:`RowStore.segments` returned for them.
+    The parts are concatenated once and permuted into row order with one
+    vectorised position map, so rows carry exactly the values and order
+    a per-part gather would — products over the result are bit-identical
+    to stacking the parts and permuting the stacked rows back into place.
+    """
+    rows = np.concatenate([part[0] for part in parts])
+    data = np.concatenate([part[1] for part in parts])
+    indices = np.concatenate([part[2] for part in parts])
+    part_lengths = np.concatenate([part[3] for part in parts])
+    part_starts = np.zeros(rows.size, dtype=np.int64)
+    np.cumsum(part_lengths[:-1], out=part_starts[1:])
+    source = np.empty(num_rows, dtype=np.int64)  # output row → concatenated segment
+    source[rows] = np.arange(rows.size)
+    lengths = part_lengths[source]
+    indptr = np.zeros(num_rows + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    positions = _segment_positions(part_starts[source], lengths, indptr)
+    return data[positions], indices[positions], lengths
+
+
+def paired_rows_cosine(
+    segments: Tuple[np.ndarray, np.ndarray, np.ndarray], num_pairs: int, dimension: int
+) -> np.ndarray:
+    """Cosines of rows ``i`` and ``num_pairs + i`` of one normalised segment gather.
+
+    Lets a cosine query gather both sides in one pass (one id lookup,
+    one round of per-store work) and split the result without a scipy
+    row slice.
+    """
+    data, indices, lengths = segments
+    cut = int(lengths[:num_pairs].sum())
+    return pairwise_cosine(
+        csr_from_segments(data[:cut], indices[:cut], lengths[:num_pairs], dimension),
+        csr_from_segments(data[cut:], indices[cut:], lengths[num_pairs:], dimension),
+    )
 
 
 def pairwise_cosine(rows_left: sparse.csr_matrix, rows_right: sparse.csr_matrix) -> np.ndarray:
@@ -71,7 +171,7 @@ class RowStore:
         self._used = 0
         self._live_nnz = 0
         # id-indexed slot map (-1 = absent); slot-indexed extents and norms
-        self._slot_of = np.full(_MIN_SLOTS, -1, dtype=np.int64)
+        self._slot_of = new_id_column()
         self._id_of_slot = np.full(_MIN_SLOTS, -1, dtype=np.int64)
         self._starts = np.zeros(_MIN_SLOTS, dtype=np.int64)
         self._lengths = np.zeros(_MIN_SLOTS, dtype=np.int64)
@@ -119,22 +219,8 @@ class RowStore:
         self._indices = np.concatenate([self._indices[: self._used],
                                         np.empty(capacity - self._used, dtype=np.int32)])
 
-    def _ensure_id(self, vector_id: int) -> None:
-        if vector_id >= _MAX_ID:
-            raise ValidationError(
-                f"vector id {vector_id} exceeds the supported id space "
-                f"(< {_MAX_ID}); ids must stay dense-ish, they index the "
-                "slot map directly"
-            )
-        if vector_id >= self._slot_of.size:
-            grown = np.full(max(2 * self._slot_of.size, vector_id + 1), -1, dtype=np.int64)
-            grown[: self._slot_of.size] = self._slot_of
-            self._slot_of = grown
-
     def _claim_slot(self, vector_id: int) -> int:
-        if vector_id < 0:
-            raise ValidationError(f"vector ids must be >= 0, got {vector_id}")
-        self._ensure_id(vector_id)
+        self._slot_of = grow_id_column(self._slot_of, vector_id)
         if self._slot_of[vector_id] >= 0:
             raise ValidationError(f"vector id {vector_id} is already stored")
         if self._free_slots:
@@ -234,14 +320,6 @@ class RowStore:
     # ------------------------------------------------------------------
     # gathering
     # ------------------------------------------------------------------
-    def _resolve_slots(self, vector_ids: np.ndarray) -> np.ndarray:
-        valid = (vector_ids >= 0) & (vector_ids < self._slot_of.size)
-        slots = np.full(vector_ids.size, -1, dtype=np.int64)
-        slots[valid] = self._slot_of[vector_ids[valid]]
-        if slots.size and slots.min() < 0:
-            missing = int(vector_ids[int(np.argmin(slots >= 0))])
-            raise ValidationError(f"vector id {missing} is not in the index")
-        return slots
 
     def _fill_missing_norms(self, slots: np.ndarray) -> None:
         missing = slots[np.isnan(self._inv_norms[slots])]
@@ -261,35 +339,41 @@ class RowStore:
         norms = np.sqrt(sums)
         self._inv_norms[missing] = np.where(norms > 0.0, 1.0 / np.where(norms > 0.0, norms, 1.0), 1.0)
 
-    def _gather(self, vector_ids: Sequence[int], normalized: bool) -> sparse.csr_matrix:
+    def segments(
+        self, vector_ids: Sequence[int], *, normalized: bool
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(data, indices, lengths)`` of the requested rows, concatenated in order.
+
+        The CSR payload of a gather without the matrix: the sharded
+        facade scatters the segments of every shard straight into one
+        id-ordered matrix (:func:`stitch_segments`), and a worker ships
+        them over the wire as plain arrays.
+        """
         ids = np.asarray(vector_ids, dtype=np.int64).ravel()
-        slots = self._resolve_slots(ids)
+        slots = lookup_id_column(self._slot_of, ids)
         lengths = self._lengths[slots]
         indptr = np.zeros(ids.size + 1, dtype=np.int64)
         np.cumsum(lengths, out=indptr[1:])
         positions = _segment_positions(self._starts[slots], lengths, indptr)
-        out_data = self._data[positions]
+        data = self._data[positions]
         if normalized:
             self._fill_missing_norms(slots)
-            out_data = out_data * np.repeat(self._inv_norms[slots], lengths)
-        return sparse.csr_matrix(
-            (out_data, self._indices[positions], indptr),
-            shape=(ids.size, self.dimension),
-        )
+            data *= np.repeat(self._inv_norms[slots], lengths)
+        return data, self._indices[positions], lengths
 
     def inv_norm(self, vector_id: int) -> float:
         """Cached ``1 / ‖row‖₂`` (1.0 for zero rows, as the old path had it)."""
-        slots = self._resolve_slots(np.asarray([vector_id], dtype=np.int64))
+        slots = lookup_id_column(self._slot_of, np.asarray([vector_id], dtype=np.int64))
         self._fill_missing_norms(slots)
         return float(self._inv_norms[slots[0]])
 
     def gather_raw(self, vector_ids: Sequence[int]) -> sparse.csr_matrix:
         """The requested raw rows stacked into one fresh CSR matrix."""
-        return self._gather(vector_ids, normalized=False)
+        return csr_from_segments(*self.segments(vector_ids, normalized=False), self.dimension)
 
     def gather_normalized(self, vector_ids: Sequence[int]) -> sparse.csr_matrix:
         """The requested rows L2-normalised, stacked into one CSR matrix."""
-        return self._gather(vector_ids, normalized=True)
+        return csr_from_segments(*self.segments(vector_ids, normalized=True), self.dimension)
 
     # ------------------------------------------------------------------
     # serialisation (snapshot/restore substrate)
@@ -338,12 +422,18 @@ def _segment_positions(
     ``i`` of the output addresses element ``i − indptr[j] + starts[j]``
     of the pool for the segment ``j`` containing ``i``.
     """
-    total = int(indptr[-1])
-    return (
-        np.arange(total, dtype=np.int64)
-        - np.repeat(indptr[:-1], lengths)
-        + np.repeat(starts, lengths)
-    )
+    positions = np.repeat(starts - indptr[:-1], lengths)
+    positions += np.arange(positions.size, dtype=np.int64)
+    return positions
 
 
-__all__ = ["RowStore", "pairwise_cosine"]
+__all__ = [
+    "RowStore",
+    "csr_from_segments",
+    "grow_id_column",
+    "lookup_id_column",
+    "new_id_column",
+    "paired_rows_cosine",
+    "pairwise_cosine",
+    "stitch_segments",
+]

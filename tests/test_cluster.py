@@ -423,8 +423,11 @@ class TestShardWorkerOps:
         assert members == [[0, 1, 2]]
         gathered = worker.handle(
             "gather_rows", {"ids": np.asarray([3, 0]), "normalized": True}
-        )["matrix"]
-        assert gathered.shape == (2, 6)
+        )
+        # row segments in request order: id 3 = e1, id 0 = e0 (normalised)
+        np.testing.assert_array_equal(gathered["lengths"], [1, 1])
+        np.testing.assert_array_equal(gathered["indices"], [1, 0])
+        np.testing.assert_array_equal(gathered["data"], [1.0, 1.0])
         from repro.rng import generator_state
 
         rng = np.random.default_rng(9)

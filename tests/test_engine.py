@@ -63,6 +63,13 @@ class TestEngineConfig:
         with pytest.raises(ValidationError, match="name string"):
             EngineConfig(family=SignRandomProjectionFamily)
 
+    @pytest.mark.parametrize("backend", ["static", "streaming", "sharded"])
+    def test_unknown_family_rejected_at_construction(self, backend):
+        # fails in the constructor, not at the first estimate (the static
+        # backend would otherwise only resolve it in its lazy index build)
+        with pytest.raises(ValidationError, match="unknown LSH family"):
+            EngineConfig(family="simhash", backend=backend, dimension=8)
+
     @pytest.mark.parametrize("field,value", [
         ("num_hashes", 0),
         ("num_tables", 0),

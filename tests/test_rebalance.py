@@ -279,8 +279,8 @@ class TestRebalance:
         migration; the facade keeps routing to the new owners."""
         reference, sharded = _build_pair(small_collection, churn_log_factory(small_collection, 400), num_shards=2)
         keys = [
-            key for key, (count, shard_id) in sharded._bucket_refs.items()
-            if shard_id == 0
+            key for key, ref in sharded._bucket_refs.items()
+            if ref[1] == 0
         ][:5]
         plan = RebalancePlan(
             moves=[KeyMove(key, 0, 1) for key in keys],
@@ -527,8 +527,8 @@ class TestOwnerOverrideFastPath:
             small_collection, churn_log_factory(small_collection, 400), num_shards=2
         )
         keys = [
-            key for key, (count, shard_id) in sharded._bucket_refs.items()
-            if shard_id == 0
+            key for key, ref in sharded._bucket_refs.items()
+            if ref[1] == 0
         ][:3]
         apply_plan(
             sharded,

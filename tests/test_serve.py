@@ -535,6 +535,16 @@ class TestHandshake:
 
 class TestServerDrain:
     @pytest.mark.timeout(60)
+    def test_idle_shutdown_is_prompt_and_reaps_the_acceptor(self):
+        """Closing the listener must wake the acceptor blocked in accept()."""
+        server = EstimationServer(_config()).start()
+        acceptor = server._acceptor
+        started = time.perf_counter()
+        server.shutdown()
+        assert time.perf_counter() - started < 0.5
+        assert not acceptor.is_alive()
+
+    @pytest.mark.timeout(60)
     def test_shutdown_surfaces_stranded_rows_after_failed_commit(self):
         """Satellite: the server drains before engine close on shutdown."""
         config = _config(backend="sharded", options={"num_shards": 2, "batch_size": 1000})

@@ -13,6 +13,7 @@ from repro.shard import (
     ShardedStreamingEstimator,
     ShardRouter,
     merge_strata,
+    rebalance_cluster,
 )
 from repro.shard.partition import signature_shard_hash
 from repro.streaming import (
@@ -369,6 +370,23 @@ class TestMergeLayer:
             assert ours.value == theirs.value
             assert ours.details["num_collision_pairs"] == theirs.details["num_collision_pairs"]
 
+    @pytest.mark.parametrize("missing", [-1, 10**6])
+    def test_same_bucket_many_names_a_missing_id(self, churned_pair, missing):
+        _, sharded = churned_pair
+        view = sharded.primary_table
+        live = sharded.ids[:2]
+        deleted = next(i for i in range(sharded._next_id) if i not in sharded)
+        for bad in (missing, deleted):
+            left = np.asarray([live[0], bad])
+            with pytest.raises(ValidationError, match=f"vector id {bad} "):
+                view.same_bucket_many(left, live)
+            with pytest.raises(ValidationError, match=f"vector id {bad} "):
+                view.same_bucket_many(live, left)
+            with pytest.raises(ValidationError, match=f"vector id {bad} "):
+                view.signature_key(bad)
+            with pytest.raises(ValidationError, match=f"vector id {bad} "):
+                sharded.cosine_pairs(left, live)
+
     def test_merged_mode_samples_valid_strata(self, churned_pair):
         _, sharded = churned_pair
         estimator = ShardedStreamingEstimator(sharded)
@@ -532,3 +550,78 @@ class TestShardMergePropertyBased:
             0.5, random_state=1, mode="exact"
         )
         assert ours.value == theirs.value
+
+
+class TestIdColumnsPropertyBased:
+    """Hypothesis property over random mutation sequences: the id-indexed
+    columns (bucket ordinals, shard owners, cached live ids) always answer
+    exactly what the scalar per-id lookups answer, on the unsharded index,
+    every shard, and the sharded facade — across inserts, batches,
+    deletes, a rendezvous rebalance and snapshot→restore."""
+
+    OPS = ("insert", "insert_many", "commit_batch", "delete", "rebalance", "restore")
+
+    @staticmethod
+    def _vectors(seed: int, count: int) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        dense = (rng.random((count, 6)) < 0.5) * rng.random((count, 6))
+        dense[dense.sum(axis=1) == 0.0, 0] = 1.0
+        return dense
+
+    @staticmethod
+    def _check_columns(index, tables) -> None:
+        """Vectorised same-bucket == scalar key equality; cached ids == live set."""
+        index.check_invariants()
+        ids = index.ids
+        assert ids.tolist() == list(index._live_ids)
+        if ids.size == 0:
+            return
+        rng = np.random.default_rng(ids.size)
+        left = ids[rng.integers(0, ids.size, size=64)]
+        right = ids[rng.integers(0, ids.size, size=64)]
+        for table in tables:
+            key = table.signature_key
+            expected = [key(u) == key(v) for u, v in zip(left, right)]
+            assert table.same_bucket_many(left, right).tolist() == expected
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(OPS), st.integers(min_value=0, max_value=10**6)),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    def test_columns_match_scalar_lookups(self, steps):
+        unsharded = MutableLSHIndex(6, num_hashes=3, random_state=29)
+        sharded = ShardedMutableIndex(
+            6, num_shards=3, num_hashes=3, random_state=29, partitioner="rendezvous"
+        )
+        for op, value in steps:
+            live = list(sharded.ids)
+            if op == "delete" and live:
+                victim = int(live[value % len(live)])
+                unsharded.delete(victim)
+                sharded.delete(victim)
+            elif op == "insert":
+                vector = self._vectors(value, 1)[0]
+                assert unsharded.insert(vector) == sharded.insert(vector)
+            elif op in ("insert_many", "commit_batch"):
+                matrix = self._vectors(value, 1 + value % 5)
+                expected = unsharded.insert_many(matrix)
+                if op == "insert_many":
+                    got = sharded.insert_many(matrix)
+                else:
+                    got = sharded.commit_batch(sharded.prepare_batch(matrix))
+                np.testing.assert_array_equal(got, expected)
+            elif op == "rebalance":
+                rebalance_cluster(sharded, num_shards=1 + value % 4)
+            elif op == "restore":
+                unsharded = MutableLSHIndex.from_state(unsharded.to_state())
+                sharded = ShardedMutableIndex.from_state(sharded.to_state())
+            np.testing.assert_array_equal(sharded.ids, unsharded.ids)
+            self._check_columns(unsharded, unsharded.tables)
+            self._check_columns(sharded, [sharded.primary_table])
+            for shard in sharded.shards:
+                self._check_columns(shard.index, [shard.index.primary_table])
+            assert sharded.num_collision_pairs == unsharded.num_collision_pairs

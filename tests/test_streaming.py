@@ -59,6 +59,14 @@ class TestMutableLSHTable:
         with pytest.raises(ValidationError):
             table.insert(5, np.array([0, 1]))
 
+    @pytest.mark.parametrize("vector_id", [-1, 1 << 27])
+    def test_out_of_range_id_rejected_before_any_bucket_opens(self, vector_id):
+        table = MutableLSHTable(SignRandomProjectionFamily(2, random_state=0))
+        with pytest.raises(ValidationError):
+            table.insert(vector_id, np.array([1, 0]))
+        assert table.num_buckets == 0
+        table.check_invariants()
+
     def test_unknown_id_delete_rejected(self):
         table = MutableLSHTable(SignRandomProjectionFamily(2, random_state=0))
         with pytest.raises(ValidationError):
@@ -68,6 +76,21 @@ class TestMutableLSHTable:
         table = MutableLSHTable(SignRandomProjectionFamily(3, random_state=0))
         with pytest.raises(ValidationError):
             table.insert(0, np.array([1, 0]))
+
+    @pytest.mark.parametrize("missing", [2, -1, 10_000])
+    def test_same_bucket_many_names_a_missing_id(self, missing):
+        # deleted, negative, and beyond the ordinal column's size: always a
+        # ValidationError naming the id (never KeyError / IndexError, never
+        # a negative index silently wrapping onto a live id)
+        table = MutableLSHTable(SignRandomProjectionFamily(2, random_state=0))
+        for vector_id in range(3):
+            table.insert(vector_id, np.array([1, 0]))
+        table.delete(2)
+        for left, right in (([0, missing], [1, 0]), ([0, 1], [1, missing])):
+            with pytest.raises(ValidationError, match=f"vector id {missing} "):
+                table.same_bucket_many(np.asarray(left), np.asarray(right))
+        with pytest.raises(ValidationError, match=f"vector id {missing} "):
+            table.signature_key(missing)
 
     def test_sample_collision_pairs_share_bucket(self, mutable_index, rng):
         table = mutable_index.primary_table
