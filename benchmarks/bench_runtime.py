@@ -9,13 +9,22 @@ same ballpark as plain random sampling (both examine Θ(n) pairs).
 This benchmark uses pytest-benchmark's timing machinery directly (one
 benchmarked estimator per test) so the usual benchmark table doubles as
 the runtime comparison.
+
+Gate (§6.2 runtime parity): one LSH-SS estimate costs at most
+``REPRO_BENCH_RUNTIME_GATE`` (default 2.0) times one RS(pop) estimate,
+best of interleaved rounds.  The claim is about cost per pair evaluated
+(LSH-SS examines m_H + m_L = 2n pairs, RS(pop) 1.5n), so the gate runs at
+n = 20k, where the fixed per-call cost of small collections no longer
+dominates, whatever size the other benchmarks use.
 """
 
 from __future__ import annotations
 
 import time
 
-from benchmarks._helpers import emit, format_table
+import pytest
+
+from benchmarks._helpers import emit, env_float, format_table
 from repro.core import (
     LSHSEstimator,
     LSHSSEstimator,
@@ -23,9 +32,16 @@ from repro.core import (
     RandomPairSampling,
     UniformityEstimator,
 )
+from repro.datasets import make_dblp_like
 from repro.join import exact_join_size
+from repro.lsh import LSHIndex
 
 THRESHOLD = 0.7
+
+PARITY_N = 20_000
+PARITY_THRESHOLDS = (0.5, 0.7, 0.9)
+PARITY_SEEDS = (0, 1, 2)
+PARITY_ROUNDS = 5
 
 
 def test_runtime_lsh_ss(benchmark, dblp_index):
@@ -97,3 +113,56 @@ def test_runtime_summary_vs_exact_join(
 
     runtime = {row[0]: row[1] for row in rows}
     assert runtime["LSH-SS"] < runtime["exact join (oracle)"]
+
+
+@pytest.fixture(scope="module")
+def parity_corpus():
+    collection = make_dblp_like(num_vectors=PARITY_N, random_state=7).collection
+    return collection, LSHIndex(collection, num_hashes=20, num_tables=1, random_state=42)
+
+
+def test_runtime_parity_lsh_ss_vs_random_sampling(benchmark, parity_corpus, results_dir):
+    """Gate: one LSH-SS estimate costs at most the gate times one RS(pop) estimate."""
+    gate = env_float("REPRO_BENCH_RUNTIME_GATE", 2.0)
+    collection, index = parity_corpus
+    estimators = {
+        "LSH-SS": LSHSSEstimator(index.primary_table),
+        "RS(pop)": RandomPairSampling(collection),
+    }
+    queries = [(t, s) for t in PARITY_THRESHOLDS for s in PARITY_SEEDS]
+    for threshold, seed in queries:  # warm-up (lazy normalisation, bucket layouts)
+        for estimator in estimators.values():
+            estimator.estimate(threshold, random_state=seed)
+
+    def run():
+        # rounds interleave the estimators so host drift hits both alike;
+        # each keeps its fastest round
+        best = {name: float("inf") for name in estimators}
+        for _ in range(PARITY_ROUNDS):
+            for name, estimator in estimators.items():
+                start = time.perf_counter()
+                for threshold, seed in queries:
+                    estimator.estimate(threshold, random_state=seed)
+                best[name] = min(best[name], (time.perf_counter() - start) / len(queries))
+        return best
+
+    best = benchmark.pedantic(run, rounds=1, iterations=1)
+    ratio = best["LSH-SS"] / max(best["RS(pop)"], 1e-9)
+    body = format_table(
+        ["method", "per estimate (ms)"],
+        [[name, seconds * 1000.0] for name, seconds in best.items()],
+        float_format="{:.2f}",
+    )
+    body += (
+        f"\nn={collection.size}, k=20, τ ∈ {PARITY_THRESHOLDS}, seeds {PARITY_SEEDS}, "
+        f"best of {PARITY_ROUNDS} rounds; LSH-SS / RS(pop) = {ratio:.2f}x (gate ≤ {gate}x)"
+    )
+    emit(
+        "E12_runtime_parity",
+        "§6.2 — LSH-SS vs RS(pop) cost per estimate",
+        body,
+        results_dir,
+        benchmark=benchmark,
+        extra_info={"lsh_ss_vs_rs": ratio},
+    )
+    assert ratio <= gate, f"one LSH-SS estimate costs {ratio:.2f}x one RS(pop) estimate"

@@ -32,6 +32,7 @@ provenance, not arithmetic.
 from __future__ import annotations
 
 import abc
+import inspect
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Any, Callable, ClassVar, Dict, FrozenSet, Iterator, Mapping, Optional, Tuple, Type
@@ -99,6 +100,74 @@ def available_backends() -> Tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
+def _int_option(minimum: int, *, optional: bool = False) -> Callable[[str, Any], None]:
+    def check(name: str, value: Any) -> None:
+        if value is None and optional:
+            return
+        if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+            raise ValidationError(f"option {name!r} must be an int >= {minimum}, got {value!r}")
+
+    return check
+
+
+def _fraction_option(*, auto: bool = False, optional: bool = False) -> Callable[[str, Any], None]:
+    def check(name: str, value: Any) -> None:
+        if (value is None and optional) or (auto and value == "auto"):
+            return
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0.0 < value <= 1.0:
+            raise ValidationError(f"option {name!r} must lie in (0, 1], got {value!r}")
+
+    return check
+
+
+def _check_bool(name: str, value: Any) -> None:
+    if not isinstance(value, bool):
+        raise ValidationError(f"option {name!r} must be a bool, got {value!r}")
+
+
+def _check_partitioner(name: str, value: Any) -> None:
+    if not isinstance(value, str):
+        raise ValidationError(f"option {name!r} must be a partitioner kind string, got {value!r}")
+    resolve_partitioner(value, 1)
+
+
+#: value domains of the built-in backends' options (and of the
+#: ``estimator_kwargs`` entries they forward); EngineConfig.validate()
+#: checks them, so a bad value fails at construction, not at open()
+_OPTION_DOMAINS: Dict[str, Callable[[str, Any], None]] = {
+    "sample_size_h": _int_option(1, optional=True),
+    "sample_size_l": _int_option(1, optional=True),
+    "answer_threshold": _int_option(1, optional=True),
+    "dampening": _fraction_option(auto=True, optional=True),
+    "reservoir_size": _int_option(1),
+    "staleness_budget": _fraction_option(),
+    "num_shards": _int_option(1),
+    "shards": _int_option(1),
+    "batch_size": _int_option(1),
+    "workers": _int_option(0, optional=True),
+    "partitioner": _check_partitioner,
+    "shard_estimators": _check_bool,
+}
+
+
+def _check_kwargs_option(
+    name: str, kwargs: Any, target: Callable[..., Any], reserved: Tuple[str, ...]
+) -> None:
+    """``kwargs`` must be a mapping of keywords ``target`` accepts (minus ``reserved``)."""
+    if not isinstance(kwargs, Mapping):
+        raise ValidationError(f"option {name!r} must be a mapping, got {kwargs!r}")
+    accepted = set(list(inspect.signature(target).parameters)[1:]) - set(reserved)
+    unknown = sorted(set(kwargs) - accepted)
+    if unknown:
+        raise ValidationError(
+            f"option {name!r} has unknown key(s) {unknown} for "
+            f"{getattr(target, '__name__', target)}; known: {sorted(accepted)}"
+        )
+    for key, value in kwargs.items():
+        if key in _OPTION_DOMAINS:
+            _OPTION_DOMAINS[key](f"{name}.{key}", value)
+
+
 #: the registry backends constructed inside a :func:`metrics_scope` adopt
 _construction_metrics: ContextVar[Optional[MetricsRegistry]] = ContextVar(
     "repro_backend_construction_metrics", default=None
@@ -139,6 +208,18 @@ class EstimatorBackend(abc.ABC):
     OPTIONS: ClassVar[FrozenSet[str]] = frozenset()
     #: informational capability tags ("mutable", "rebalance", …)
     CAPABILITIES: ClassVar[FrozenSet[str]] = frozenset()
+
+    @classmethod
+    def check_options(cls, options: Mapping[str, Any]) -> None:
+        """Reject option values outside their domain (``EngineConfig.validate``).
+
+        Options with a built-in domain (sizes, fractions, shard counts,
+        partitioner kinds, …) are checked by default; a backend with
+        options of its own extends this.
+        """
+        for name, value in options.items():
+            if name in _OPTION_DOMAINS:
+                _OPTION_DOMAINS[name](name, value)
 
     def __init__(self, config: EngineConfig) -> None:
         self.config = config
@@ -292,18 +373,20 @@ class StaticBackend(EstimatorBackend):
     OPTIONS = frozenset({"estimator", "estimator_kwargs"})
     CAPABILITIES = frozenset({"multi-estimator", "concurrent-read"})
 
-    #: request/estimator-name → builder(table, collection, **kwargs); the
-    #: single registry of servable flavors (the CLI derives its choices
-    #: and the sweep command its constructions from here)
-    _ESTIMATORS = {
-        "lsh-ss": lambda table, collection, **kw: LSHSSEstimator(table, **kw),
-        "lsh-ss-d": lambda table, collection, **kw: LSHSSEstimator(table, dampening="auto", **kw),
-        "lsh-s": lambda table, collection, **kw: LSHSEstimator(table, **kw),
-        "ju": lambda table, collection, **kw: UniformityEstimator(table, **kw),
-        "lc": lambda table, collection, **kw: LatticeCountingEstimator(table, **kw),
-        "rs": lambda table, collection, **kw: RandomPairSampling(collection, **kw),
-        "rs-cross": lambda table, collection, **kw: CrossSampling(collection, **kw),
+    #: request/estimator-name → (class, fixed keywords); the single
+    #: registry of servable flavors (the CLI derives its choices and the
+    #: sweep command its constructions from here)
+    _ESTIMATORS: ClassVar[Dict[str, Tuple[type, Dict[str, Any]]]] = {
+        "lsh-ss": (LSHSSEstimator, {}),
+        "lsh-ss-d": (LSHSSEstimator, {"dampening": "auto"}),
+        "lsh-s": (LSHSEstimator, {}),
+        "ju": (UniformityEstimator, {}),
+        "lc": (LatticeCountingEstimator, {}),
+        "rs": (RandomPairSampling, {}),
+        "rs-cross": (CrossSampling, {}),
     }
+    #: flavors built over the collection rather than the LSH table
+    _OVER_COLLECTION = frozenset({"rs", "rs-cross"})
 
     @classmethod
     def estimator_names(cls) -> Tuple[str, ...]:
@@ -311,13 +394,30 @@ class StaticBackend(EstimatorBackend):
         return tuple(cls._ESTIMATORS)
 
     @classmethod
-    def build_estimator(cls, name: str, table: Any, collection: Any, **kwargs: Any) -> Any:
-        """Construct one named estimator flavor over a table/collection."""
-        if name not in cls._ESTIMATORS:
+    def _flavor(cls, name: Any) -> Tuple[type, Dict[str, Any]]:
+        if not isinstance(name, str) or name not in cls._ESTIMATORS:
             raise ValidationError(
                 f"unknown estimator {name!r}; expected one of {sorted(cls._ESTIMATORS)}"
             )
-        return cls._ESTIMATORS[name](table, collection, **kwargs)
+        return cls._ESTIMATORS[name]
+
+    @classmethod
+    def build_estimator(cls, name: str, table: Any, collection: Any, **kwargs: Any) -> Any:
+        """Construct one named estimator flavor over a table/collection."""
+        estimator_class, fixed = cls._flavor(name)
+        source = collection if name in cls._OVER_COLLECTION else table
+        return estimator_class(source, **fixed, **kwargs)
+
+    @classmethod
+    def check_options(cls, options: Mapping[str, Any]) -> None:
+        super().check_options(options)
+        # estimator_kwargs are checked against the default flavor: the one
+        # a request naming no estimator is served by
+        estimator_class, fixed = cls._flavor(options.get("estimator", "lsh-ss"))
+        if "estimator_kwargs" in options:
+            _check_kwargs_option(
+                "estimator_kwargs", options["estimator_kwargs"], estimator_class, tuple(fixed)
+            )
 
     def open(self) -> None:
         self._dimension: Optional[int] = self.config.dimension
@@ -614,6 +714,15 @@ class ShardedBackend(EstimatorBackend):
     CAPABILITIES = frozenset({"mutable", "rebalance", "concurrent-read"})
 
     _MERGE_KEYS = ("sample_size_h", "sample_size_l", "answer_threshold", "dampening")
+
+    @classmethod
+    def check_options(cls, options: Mapping[str, Any]) -> None:
+        super().check_options(options)
+        if options.get("estimator_kwargs") is not None:
+            _check_kwargs_option(
+                "estimator_kwargs", options["estimator_kwargs"], StreamingEstimator,
+                ("random_state",),
+            )
 
     def open(self) -> None:
         if self.config.dimension is None:

@@ -116,6 +116,7 @@ class EngineConfig:
                 f"unknown option(s) {unknown} for backend {self.backend!r}; "
                 f"known: {sorted(backend_class.OPTIONS)}"
             )
+        backend_class.check_options(self.options)
 
     # ------------------------------------------------------------------
     # round-tripping

@@ -19,7 +19,7 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from repro.errors import ValidationError
+from repro.errors import ReproError, ValidationError
 from repro.rng import RandomState, ensure_rng
 
 PairBatchSource = Callable[[int, np.random.Generator], Tuple[np.ndarray, np.ndarray]]
@@ -99,9 +99,22 @@ def adaptive_sample(
     max_samples:
         ``m_L`` — the maximum number of pairs to examine.
     batch_size:
-        Internal batching granularity; the semantics match drawing pairs
-        one at a time because the exact sample index at which the
-        ``δ``-th true pair appeared is recovered within the batch.
+        Draw granularity: ``pair_source`` is called once per batch of
+        ``batch_size`` pairs (the last batch is cut to the remaining
+        budget), so the generator stream is that of a batch-at-a-time
+        loop.  Evaluation is grouped: the draws of 1, 2, 4, … batches
+        are concatenated and passed to ``similarity_evaluator`` in one
+        call, which cuts a budget of ``B`` batches to at most
+        ``⌈log2(B + 1)⌉`` evaluator calls.  The sample index at which the
+        ``δ``-th true pair appeared is recovered within the group, and
+        the generator is rewound to its state right after the batch that
+        holds it, so results and the generator's final state are exactly
+        those of drawing (and evaluating) the pairs one batch at a time.
+        Pairs drawn after that batch are evaluated but never counted.
+        A draw that raises a :class:`~repro.errors.ReproError` (say, a
+        stratum too small to sample) first has the batches drawn before
+        it evaluated, so it propagates only where a batch-at-a-time loop
+        would have reached it.
     random_state:
         Seed or generator.
     """
@@ -114,16 +127,36 @@ def adaptive_sample(
         batch_size = int(min(max_samples, max(256, 8 * answer_threshold)))
     samples_taken = 0
     true_count = 0
+    group_batches = 1
     while samples_taken < max_samples and true_count < answer_threshold:
-        request = int(min(batch_size, max_samples - samples_taken))
-        left, right = pair_source(request, rng)
-        similarities = similarity_evaluator(left, right)
+        lefts, rights, states = [], [], []
+        failure: ReproError | None = None
+        drawn = samples_taken
+        while len(lefts) < group_batches and drawn < max_samples:
+            try:
+                left, right = pair_source(int(min(batch_size, max_samples - drawn)), rng)
+            except ReproError as error:
+                if not lefts:
+                    raise
+                # a batch-at-a-time loop would evaluate the batches drawn
+                # so far before this draw, and may stop before it
+                failure = error
+                break
+            lefts.append(np.asarray(left))
+            rights.append(np.asarray(right))
+            states.append(rng.bit_generator.state)
+            drawn += lefts[-1].size
+        batch_ends = np.cumsum([left.size for left in lefts])
+        similarities = similarity_evaluator(np.concatenate(lefts), np.concatenate(rights))
         is_true = np.asarray(similarities) >= threshold
         cumulative = np.cumsum(is_true.astype(np.int64)) + true_count
         hit = np.flatnonzero(cumulative >= answer_threshold)
         if hit.size > 0:
             # The δ-th true pair appeared at position hit[0] within this
-            # batch; only the samples up to and including it count toward i.
+            # group; only the samples up to and including it count toward
+            # i, and the batches drawn after its own are handed back.
+            batch = int(np.searchsorted(batch_ends, hit[0], side="right"))
+            rng.bit_generator.state = states[batch]
             samples_taken += int(hit[0]) + 1
             true_count = int(cumulative[hit[0]])
             return AdaptiveSampleResult(
@@ -133,8 +166,11 @@ def adaptive_sample(
                 answer_threshold=answer_threshold,
                 max_samples=max_samples,
             )
+        if failure is not None:
+            raise failure
         samples_taken += int(is_true.size)
         true_count = int(cumulative[-1]) if is_true.size else true_count
+        group_batches *= 2
     return AdaptiveSampleResult(
         true_count=true_count,
         samples_taken=samples_taken,

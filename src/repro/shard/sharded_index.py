@@ -71,7 +71,6 @@ from repro.streaming.mutable_index import (
     signature_bucket_key,
 )
 from repro.streaming.rowstore import (
-    csr_from_segments,
     grow_id_column,
     lookup_id_column,
     new_id_column,
@@ -762,17 +761,15 @@ class ShardedMutableIndex:
         """
         return self.shards[shard_id].index._rows.segments(ids, normalized=normalized)
 
-    def _segments(
-        self, ids: np.ndarray, *, normalized: bool
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Row segments of ``ids`` gathered from their shards, in ``ids`` order."""
+    def _gather(self, ids: np.ndarray, *, normalized: bool) -> sparse.csr_matrix:
+        """The rows of ``ids`` gathered from their shards into one CSR, in ``ids`` order."""
         shard_ids = lookup_id_column(self._shard_of, ids)
         parts = []
         for shard_id in np.unique(shard_ids):
             rows = np.flatnonzero(shard_ids == shard_id)
             segments = self._gather_rows_on_shard(int(shard_id), ids[rows], normalized=normalized)
             parts.append((rows, *segments))
-        return stitch_segments(parts, ids.size)
+        return stitch_segments(parts, ids.size, self.dimension)
 
     def cosine_pairs(self, left_ids: Sequence[int], right_ids: Sequence[int]) -> np.ndarray:
         """Cosine similarities for live ``(left, right)`` id pairs across shards."""
@@ -782,8 +779,8 @@ class ShardedMutableIndex:
             raise ValidationError("left and right id arrays must have the same length")
         if left.size == 0:
             return np.zeros(0, dtype=np.float64)
-        both = self._segments(np.concatenate([left, right]), normalized=True)
-        return paired_rows_cosine(both, left.size, self.dimension)
+        both = self._gather(np.concatenate([left, right]), normalized=True)
+        return paired_rows_cosine(both, left.size)
 
     # ------------------------------------------------------------------
     # export / verification
@@ -793,7 +790,7 @@ class ShardedMutableIndex:
         if not self._live_ids:
             raise ValidationError("cannot materialise an empty index as a collection")
         ids = self.ids.copy()
-        rows = csr_from_segments(*self._segments(ids, normalized=False), self.dimension)
+        rows = self._gather(ids, normalized=False)
         return VectorCollection(rows, copy=False), ids
 
     def check_invariants(self) -> None:

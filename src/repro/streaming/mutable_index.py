@@ -817,8 +817,8 @@ class MutableLSHIndex:
             raise ValidationError("left and right id arrays must have the same length")
         if left.size == 0:
             return np.zeros(0, dtype=np.float64)
-        both = self._rows.segments(np.concatenate([left, right]), normalized=True)
-        return paired_rows_cosine(both, left.size, self.dimension)
+        both = self._rows.gather_normalized(np.concatenate([left, right]))
+        return paired_rows_cosine(both, left.size)
 
     def sample_collision_pairs(
         self, sample_size: int, *, random_state: RandomState = None

@@ -7,14 +7,18 @@ constructions per query, which made mutable-path queries several times
 slower than the static path (ROADMAP, E13).
 
 :class:`RowStore` replaces the per-row objects with two flat pools
-(``data`` / ``indices``) plus slot-indexed extent arrays:
+(``data`` / ``indices``) that, together with an extent-pointer array,
+form one valid CSR matrix at all times:
 
 * **amortised appends** — an insert copies its ``nnz`` values to the
-  pool tail (the pool doubles when full); a batch insert copies the
-  whole batch in one slice;
-* **vectorised gather** — :meth:`gather_normalized` materialises the
-  sampled rows as *one* CSR matrix; the id → slot → extent resolution is
-  pure ``numpy`` fancy indexing, no per-row Python work;
+  pool tail (the pool doubles when full) and appends one *extent* (a
+  row of the pool matrix); a batch insert copies the whole batch in one
+  slice.  Extents stay contiguous in append order until a compaction
+  rewrites the pool, so the pointer array is the pool's CSR ``indptr``;
+* **vectorised gather** — a slot → extent column resolves ids to pool
+  rows, and :meth:`segments` is *one* scipy row gather (``csr_row_index``
+  in C, the same routine the static path's ``normalized_matrix[ids]``
+  runs), no per-row Python work and no ``np.repeat`` position arrays;
 * **lazy normalisation** — inverse L2 norms are computed in bulk for
   exactly the rows a cosine query touches for the first time and cached,
   so pure update bursts never pay for normalisation;
@@ -40,6 +44,8 @@ from repro.errors import ValidationError
 _MIN_CAPACITY = 1024
 _MIN_SLOTS = 64
 _COMPACTION_FLOOR = 4096
+#: pools past this many non-zeros need int64 extent pointers
+_INT32_MAX = int(np.iinfo(np.int32).max)
 #: Highest admissible vector id.  The id → slot map is a dense array (that
 #: is what makes gathers fully vectorised), so ids far beyond the live row
 #: count would translate directly into allocated memory; the cap turns a
@@ -104,46 +110,49 @@ def csr_from_segments(
 
 
 def stitch_segments(
-    parts: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]], num_rows: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Merge per-store segments into the segments of one row-ordered gather.
+    parts: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
+    num_rows: int,
+    dimension: int,
+) -> sparse.csr_matrix:
+    """Merge per-store segments into one row-ordered CSR gather.
 
     Each part is ``(rows, data, indices, lengths)``: the output rows it
     fills and the segments :meth:`RowStore.segments` returned for them.
     The parts are concatenated once and permuted into row order with one
-    vectorised position map, so rows carry exactly the values and order
-    a per-part gather would — products over the result are bit-identical
+    scipy row gather, so rows carry exactly the values and order a
+    per-part gather would — products over the result are bit-identical
     to stacking the parts and permuting the stacked rows back into place.
     """
     rows = np.concatenate([part[0] for part in parts])
-    data = np.concatenate([part[1] for part in parts])
-    indices = np.concatenate([part[2] for part in parts])
-    part_lengths = np.concatenate([part[3] for part in parts])
-    part_starts = np.zeros(rows.size, dtype=np.int64)
-    np.cumsum(part_lengths[:-1], out=part_starts[1:])
+    stacked = csr_from_segments(
+        np.concatenate([part[1] for part in parts]),
+        np.concatenate([part[2] for part in parts]),
+        np.concatenate([part[3] for part in parts]),
+        dimension,
+    )
     source = np.empty(num_rows, dtype=np.int64)  # output row → concatenated segment
     source[rows] = np.arange(rows.size)
-    lengths = part_lengths[source]
-    indptr = np.zeros(num_rows + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
-    positions = _segment_positions(part_starts[source], lengths, indptr)
-    return data[positions], indices[positions], lengths
+    return stacked[source]
 
 
-def paired_rows_cosine(
-    segments: Tuple[np.ndarray, np.ndarray, np.ndarray], num_pairs: int, dimension: int
-) -> np.ndarray:
-    """Cosines of rows ``i`` and ``num_pairs + i`` of one normalised segment gather.
+def paired_rows_cosine(rows: sparse.csr_matrix, num_pairs: int) -> np.ndarray:
+    """Cosines of rows ``i`` and ``num_pairs + i`` of one normalised gather.
 
     Lets a cosine query gather both sides in one pass (one id lookup,
-    one round of per-store work) and split the result without a scipy
-    row slice.
+    one round of per-store work) and split the result by slicing the
+    CSR arrays, without a scipy row slice.
     """
-    data, indices, lengths = segments
-    cut = int(lengths[:num_pairs].sum())
+    indptr, dimension = rows.indptr, rows.shape[1]
+    cut = int(indptr[num_pairs])
     return pairwise_cosine(
-        csr_from_segments(data[:cut], indices[:cut], lengths[:num_pairs], dimension),
-        csr_from_segments(data[cut:], indices[cut:], lengths[num_pairs:], dimension),
+        sparse.csr_matrix(
+            (rows.data[:cut], rows.indices[:cut], indptr[: num_pairs + 1]),
+            shape=(num_pairs, dimension),
+        ),
+        sparse.csr_matrix(
+            (rows.data[cut:], rows.indices[cut:], indptr[num_pairs:] - cut),
+            shape=(rows.shape[0] - num_pairs, dimension),
+        ),
     )
 
 
@@ -170,11 +179,14 @@ class RowStore:
         self._indices = np.empty(_MIN_CAPACITY, dtype=np.int32)
         self._used = 0
         self._live_nnz = 0
-        # id-indexed slot map (-1 = absent); slot-indexed extents and norms
+        # the pool's CSR row pointer: extent e spans [ptr[e], ptr[e + 1])
+        self._extent_ptr = np.zeros(_MIN_SLOTS + 1, dtype=np.int32)
+        self._extent_count = 0
+        self._pool_matrix: sparse.csr_matrix | None = None
+        # id-indexed slot map (-1 = absent); slot-indexed extent rows and norms
         self._slot_of = new_id_column()
         self._id_of_slot = np.full(_MIN_SLOTS, -1, dtype=np.int64)
-        self._starts = np.zeros(_MIN_SLOTS, dtype=np.int64)
-        self._lengths = np.zeros(_MIN_SLOTS, dtype=np.int64)
+        self._extent_of_slot = np.full(_MIN_SLOTS, -1, dtype=np.int64)
         self._inv_norms = np.full(_MIN_SLOTS, np.nan, dtype=np.float64)
         self._slot_count = 0
         self._free_slots: List[int] = []
@@ -207,8 +219,16 @@ class RowStore:
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
-    def _ensure_pool(self, extra: int) -> None:
+    def _ensure_pool(self, extra: int, extents: int) -> None:
+        self._pool_matrix = None
+        needed_extents = self._extent_count + extents + 1
+        if needed_extents > self._extent_ptr.size:
+            grown = np.zeros(max(2 * self._extent_ptr.size, needed_extents), self._extent_ptr.dtype)
+            grown[: self._extent_ptr.size] = self._extent_ptr
+            self._extent_ptr = grown
         needed = self._used + extra
+        if needed > _INT32_MAX:
+            self._extent_ptr = self._extent_ptr.astype(np.int64, copy=False)
         if needed <= self._data.size:
             return
         capacity = max(self._data.size, _MIN_CAPACITY)
@@ -227,9 +247,9 @@ class RowStore:
             slot = self._free_slots.pop()
         else:
             slot = self._slot_count
-            if slot >= self._starts.size:
-                new_size = max(2 * self._starts.size, _MIN_SLOTS)
-                for name in ("_id_of_slot", "_starts", "_lengths", "_inv_norms"):
+            if slot >= self._id_of_slot.size:
+                new_size = max(2 * self._id_of_slot.size, _MIN_SLOTS)
+                for name in ("_id_of_slot", "_extent_of_slot", "_inv_norms"):
                     old = getattr(self, name)
                     fill = np.nan if old.dtype == np.float64 else -1
                     grown = np.full(new_size, fill, dtype=old.dtype)
@@ -244,13 +264,14 @@ class RowStore:
     def add(self, vector_id: int, row: sparse.csr_matrix) -> None:
         """Append one canonicalised 1×d CSR row under ``vector_id``."""
         nnz = int(row.nnz)
-        self._ensure_pool(nnz)
+        self._ensure_pool(nnz, 1)
         slot = self._claim_slot(int(vector_id))
         start = self._used
         self._data[start : start + nnz] = row.data
         self._indices[start : start + nnz] = row.indices
-        self._starts[slot] = start
-        self._lengths[slot] = nnz
+        self._extent_of_slot[slot] = self._extent_count
+        self._extent_count += 1
+        self._extent_ptr[self._extent_count] = start + nnz
         self._used += nnz
         self._live_nnz += nnz
 
@@ -275,15 +296,17 @@ class RowStore:
                 raise ValidationError(f"vector id {vector_id} is already stored")
             seen.add(vector_id)
         nnz = int(matrix.nnz)
-        self._ensure_pool(nnz)
+        count = len(vector_ids)
+        self._ensure_pool(nnz, count)
         start = self._used
         self._data[start : start + nnz] = matrix.data
         self._indices[start : start + nnz] = matrix.indices
-        indptr = matrix.indptr
+        first = self._extent_count
+        self._extent_ptr[first + 1 : first + count + 1] = start + matrix.indptr[1:]
         for position, vector_id in enumerate(vector_ids):
             slot = self._claim_slot(int(vector_id))
-            self._starts[slot] = start + int(indptr[position])
-            self._lengths[slot] = int(indptr[position + 1] - indptr[position])
+            self._extent_of_slot[slot] = first + position
+        self._extent_count += count
         self._used += nnz
         self._live_nnz += nnz
 
@@ -292,46 +315,69 @@ class RowStore:
         if vector_id not in self:
             raise ValidationError(f"vector id {vector_id} is not in the store")
         slot = int(self._slot_of[vector_id])
+        extent = int(self._extent_of_slot[slot])
         self._slot_of[vector_id] = -1
         self._id_of_slot[slot] = -1
+        self._extent_of_slot[slot] = -1
         self._free_slots.append(slot)
-        self._live_nnz -= int(self._lengths[slot])
+        self._live_nnz -= int(self._extent_ptr[extent + 1] - self._extent_ptr[extent])
+        live = self._slot_count - len(self._free_slots)
         dead = self._used - self._live_nnz
-        if dead > max(self._live_nnz, _COMPACTION_FLOOR):
+        if dead > max(self._live_nnz, _COMPACTION_FLOOR) or self._extent_count - live > max(
+            live, _COMPACTION_FLOOR
+        ):
             self._compact()
 
     def _compact(self) -> None:
-        """Rewrite the pools keeping only live rows (slot order)."""
+        """Rewrite the pools keeping only live rows, one extent each (slot order)."""
         live = np.flatnonzero(self._id_of_slot[: self._slot_count] >= 0)
-        lengths = self._lengths[live]
-        new_starts = np.zeros(live.size + 1, dtype=np.int64)
-        np.cumsum(lengths, out=new_starts[1:])
-        total = int(new_starts[-1])
-        positions = _segment_positions(self._starts[live], lengths, new_starts)
-        self._data = np.concatenate(
-            [self._data[positions], np.empty(max(total, _MIN_CAPACITY) - total, dtype=np.float64)]
+        kept = self._gather(live)
+        total = int(kept.nnz)
+        spare = max(total, _MIN_CAPACITY) - total
+        self._data = np.concatenate([kept.data, np.empty(spare, dtype=np.float64)])
+        self._indices = np.concatenate([kept.indices, np.empty(spare, dtype=np.int32)])
+        self._extent_ptr = np.concatenate(
+            [kept.indptr, np.zeros(max(live.size, _MIN_SLOTS), dtype=kept.indptr.dtype)]
         )
-        self._indices = np.concatenate(
-            [self._indices[positions], np.empty(max(total, _MIN_CAPACITY) - total, dtype=np.int32)]
-        )
-        self._starts[live] = new_starts[:-1]
+        self._extent_of_slot[live] = np.arange(live.size)
+        self._extent_count = int(live.size)
+        self._pool_matrix = None
         self._used = total
 
     # ------------------------------------------------------------------
     # gathering
     # ------------------------------------------------------------------
 
+    def _pool(self) -> sparse.csr_matrix:
+        """The pool as a CSR matrix with one row per extent (cached until a write)."""
+        pool = self._pool_matrix
+        if pool is None:
+            count, used = self._extent_count, self._used
+            pool = sparse.csr_matrix(
+                (self._data[:used], self._indices[:used], self._extent_ptr[: count + 1]),
+                shape=(count, self.dimension),
+            )
+            self._pool_matrix = pool
+        return pool
+
+    def _slots(self, vector_ids: Sequence[int]) -> np.ndarray:
+        return lookup_id_column(self._slot_of, np.asarray(vector_ids, dtype=np.int64).ravel())
+
+    def _gather(self, slots: np.ndarray) -> sparse.csr_matrix:
+        """The rows of ``slots`` as one fresh CSR matrix (one scipy row gather)."""
+        if slots.size == 0:
+            return sparse.csr_matrix((0, self.dimension))
+        return self._pool()[self._extent_of_slot[slots]]
+
     def _fill_missing_norms(self, slots: np.ndarray) -> None:
         missing = slots[np.isnan(self._inv_norms[slots])]
         if missing.size == 0:
             return
         missing = np.unique(missing)
-        lengths = self._lengths[missing]
-        indptr = np.zeros(missing.size + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        positions = _segment_positions(self._starts[missing], lengths, indptr)
-        values = self._data[positions]
-        squared = values * values
+        rows = self._gather(missing)
+        indptr = rows.indptr
+        lengths = np.diff(indptr)
+        squared = rows.data * rows.data
         sums = np.zeros(missing.size, dtype=np.float64)
         nonempty = lengths > 0
         if nonempty.any():
@@ -345,35 +391,30 @@ class RowStore:
         """``(data, indices, lengths)`` of the requested rows, concatenated in order.
 
         The CSR payload of a gather without the matrix: the sharded
-        facade scatters the segments of every shard straight into one
-        id-ordered matrix (:func:`stitch_segments`), and a worker ships
-        them over the wire as plain arrays.
+        facade stitches the segments of every shard into one id-ordered
+        matrix (:func:`stitch_segments`), and a worker ships them over
+        the wire as plain arrays.
         """
-        ids = np.asarray(vector_ids, dtype=np.int64).ravel()
-        slots = lookup_id_column(self._slot_of, ids)
-        lengths = self._lengths[slots]
-        indptr = np.zeros(ids.size + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        positions = _segment_positions(self._starts[slots], lengths, indptr)
-        data = self._data[positions]
-        if normalized:
-            self._fill_missing_norms(slots)
-            data *= np.repeat(self._inv_norms[slots], lengths)
-        return data, self._indices[positions], lengths
+        rows = self.gather_normalized(vector_ids) if normalized else self.gather_raw(vector_ids)
+        return rows.data, rows.indices, np.diff(rows.indptr).astype(np.int64)
 
     def inv_norm(self, vector_id: int) -> float:
         """Cached ``1 / ‖row‖₂`` (1.0 for zero rows, as the old path had it)."""
-        slots = lookup_id_column(self._slot_of, np.asarray([vector_id], dtype=np.int64))
+        slots = self._slots([vector_id])
         self._fill_missing_norms(slots)
         return float(self._inv_norms[slots[0]])
 
     def gather_raw(self, vector_ids: Sequence[int]) -> sparse.csr_matrix:
         """The requested raw rows stacked into one fresh CSR matrix."""
-        return csr_from_segments(*self.segments(vector_ids, normalized=False), self.dimension)
+        return self._gather(self._slots(vector_ids))
 
     def gather_normalized(self, vector_ids: Sequence[int]) -> sparse.csr_matrix:
         """The requested rows L2-normalised, stacked into one CSR matrix."""
-        return csr_from_segments(*self.segments(vector_ids, normalized=True), self.dimension)
+        slots = self._slots(vector_ids)
+        rows = self._gather(slots)
+        self._fill_missing_norms(slots)
+        rows.data *= np.repeat(self._inv_norms[slots], np.diff(rows.indptr))
+        return rows
 
     # ------------------------------------------------------------------
     # serialisation (snapshot/restore substrate)
@@ -400,31 +441,25 @@ class RowStore:
         ids = self._id_of_slot[live_slots]
         if not np.array_equal(self._slot_of[ids], live_slots):
             raise AssertionError("id ↔ slot mapping drifted")
-        if int(self._lengths[live_slots].sum()) != self._live_nnz:
+        pointers = self._extent_ptr[: self._extent_count + 1]
+        if pointers[0] != 0 or int(pointers[-1]) != self._used or np.any(np.diff(pointers) < 0):
+            raise AssertionError("extent pointers are not the pool's CSR row pointer")
+        extents = self._extent_of_slot[live_slots]
+        if live_slots.size and (int(extents.min()) < 0 or int(extents.max()) >= self._extent_count):
+            raise AssertionError("slot → extent column out of range")
+        if np.unique(extents).size != extents.size:
+            raise AssertionError("two live slots share an extent")
+        if int((pointers[extents + 1] - pointers[extents]).sum()) != self._live_nnz:
             raise AssertionError("live nnz bookkeeping drifted")
-        ends = self._starts[live_slots] + self._lengths[live_slots]
-        if live_slots.size and (int(ends.max()) > self._used or int(self._starts[live_slots].min()) < 0):
-            raise AssertionError("row extents out of pool bounds")
+        free = self._id_of_slot[: self._slot_count] < 0
+        if np.any(self._extent_of_slot[: self._slot_count][free] != -1):
+            raise AssertionError("a free slot still owns an extent")
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (
             f"RowStore(rows={len(self)}, nnz={self._live_nnz}, "
             f"pool={self._used}/{self._data.size})"
         )
-
-
-def _segment_positions(
-    starts: np.ndarray, lengths: np.ndarray, indptr: np.ndarray
-) -> np.ndarray:
-    """Pool positions for concatenated segments, fully vectorised.
-
-    ``indptr`` must be the cumulative-sum prefix of ``lengths``; position
-    ``i`` of the output addresses element ``i − indptr[j] + starts[j]``
-    of the pool for the segment ``j`` containing ``i``.
-    """
-    positions = np.repeat(starts - indptr[:-1], lengths)
-    positions += np.arange(positions.size, dtype=np.int64)
-    return positions
 
 
 __all__ = [

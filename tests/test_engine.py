@@ -3,8 +3,9 @@
 import json
 import pickle
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.core import LSHSSEstimator, RandomPairSampling
@@ -24,6 +25,7 @@ from repro.errors import (
     ValidationError,
 )
 from repro.lsh import LSHIndex
+from repro.vectors import VectorCollection
 from repro.shard import (
     ShardedMutableIndex,
     ShardedStreamingEstimator,
@@ -151,6 +153,98 @@ class TestEngineConfig:
         assert via_json == config
         # and the JSON form is plain data (no repr round-tripping)
         assert json.loads(config.to_json())["backend"] == backend
+
+
+#: option values a config may carry: mostly in each option's domain, some out of it
+_OPTION_VALUES = {
+    "estimator": st.sampled_from(["lsh-ss", "lsh-ss-d", "lsh-s", "ju", "lc", "rs", "bogus"]),
+    "estimator_kwargs": st.sampled_from(
+        [{}, {"sample_size_h": 5}, {"answer_threshold": 2}, {"sample_size_l": 0}, {"nope": 1}, [1]]
+    ),
+    "reservoir_size": st.integers(-1, 40),
+    "staleness_budget": st.sampled_from([0.1, 0.25, 0.5, 1.0, 0.0, 1.5]),
+    "sample_size_h": st.one_of(st.none(), st.integers(0, 40)),
+    "sample_size_l": st.one_of(st.none(), st.integers(0, 40)),
+    "answer_threshold": st.one_of(st.none(), st.integers(0, 8)),
+    "dampening": st.sampled_from([None, "auto", 0.25, 0.5, 1.0, "bogus", 0.0, 2.0]),
+    "num_shards": st.integers(0, 5),
+    "partitioner": st.sampled_from(["modulo", "rendezvous", "modulo", "bogus"]),
+    "shard_estimators": st.sampled_from([True, False, True, "yes"]),
+    "batch_size": st.integers(0, 64),
+    "workers": st.sampled_from([None, 0, 1, 3, -1]),
+}
+
+
+class TestConfigToEstimate:
+    """A config that validates can open, ingest and estimate (no late failures).
+
+    Covers the in-process backends; the process backend shares the
+    sharded backend's option checks, and spawning workers per example
+    would make the property too slow for tier-1.
+    """
+
+    @pytest.mark.parametrize(
+        ("backend", "options"),
+        [
+            ("streaming", {"reservoir_size": 0}),
+            ("streaming", {"staleness_budget": 1.5}),
+            ("streaming", {"dampening": "bogus"}),
+            ("sharded", {"num_shards": 0}),
+            ("sharded", {"partitioner": "bogus"}),
+            ("sharded", {"estimator_kwargs": {"nope": 1}}),
+            ("static", {"estimator": "bogus"}),
+            ("static", {"estimator": "lsh-ss-d", "estimator_kwargs": {"dampening": 0.5}}),
+        ],
+    )
+    def test_out_of_domain_option_rejected_at_construction(self, backend, options):
+        with pytest.raises(ValidationError, match="option|estimator|partitioner"):
+            EngineConfig(backend=backend, dimension=6, options=options)
+
+    def test_in_domain_options_accepted(self):
+        EngineConfig(backend="streaming", dimension=6, options={
+            "reservoir_size": 8, "staleness_budget": 1.0, "dampening": "auto",
+            "sample_size_h": None, "answer_threshold": 3,
+        })
+        EngineConfig(backend="sharded", dimension=6, options={
+            "num_shards": 2, "partitioner": "rendezvous", "workers": 0,
+            "estimator_kwargs": {"reservoir_size": 16, "dampening": 0.5},
+        })
+        EngineConfig(backend="static", options={
+            "estimator": "rs", "estimator_kwargs": {"sample_size": 10},
+        })
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_valid_config_opens_ingests_and_estimates(self, data):
+        backend = data.draw(st.sampled_from(["static", "streaming", "sharded"]))
+        names = sorted(resolve_backend(backend).OPTIONS)
+        chosen = data.draw(st.lists(st.sampled_from(names), unique=True, max_size=4))
+        options = {name: data.draw(_OPTION_VALUES[name], label=name) for name in chosen}
+        rows = data.draw(st.integers(2, 14), label="rows")
+        dense = np.random.default_rng(data.draw(st.integers(0, 2**16), label="data")).random(
+            (rows, 6)
+        )
+        dense[dense < 0.5] = 0.0
+        collection = VectorCollection.from_dense(dense)
+        try:
+            config = EngineConfig(
+                backend=backend,
+                family=data.draw(st.sampled_from(["cosine", "jaccard"]), label="family"),
+                num_hashes=data.draw(st.integers(1, 24), label="num_hashes"),
+                num_tables=data.draw(st.integers(1, 3), label="num_tables"),
+                seed=data.draw(st.integers(0, 2**31), label="seed"),
+                dimension=None if backend == "static" else collection.dimension,
+                options=options,
+            )
+        except ValidationError:
+            event("rejected at construction")
+            return  # exactly where a bad config should fail
+        event(f"opened {backend}")
+        with JoinEstimationEngine(config) as engine:
+            assert engine.ingest(collection) == rows
+            for mode in ("auto", "exact"):
+                result = engine.estimate(threshold=0.5, mode=mode, seed=3)
+                assert 0.0 <= result.value <= collection.total_pairs
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Tests for Lipton-style adaptive sampling (the SampleL subroutine)."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import ValidationError
+from repro.errors import InsufficientSampleError, ValidationError
 from repro.sampling import AdaptiveSampleResult, adaptive_sample
 
 
@@ -141,3 +145,147 @@ class TestAdaptiveSample:
             )
             estimates.append(result.estimate(population_size))
         assert np.mean(estimates) == pytest.approx(50, rel=0.35)
+
+
+def _batch_at_a_time(pair_source, evaluator, threshold, *, answer_threshold, max_samples,
+                     batch_size, rng):
+    """Reference SampleL loop: draw and evaluate one batch at a time."""
+    samples_taken = 0
+    true_count = 0
+    while samples_taken < max_samples and true_count < answer_threshold:
+        request = min(batch_size, max_samples - samples_taken)
+        left, right = pair_source(request, rng)
+        is_true = np.asarray(evaluator(left, right)) >= threshold
+        cumulative = np.cumsum(is_true.astype(np.int64)) + true_count
+        hit = np.flatnonzero(cumulative >= answer_threshold)
+        if hit.size > 0:
+            return AdaptiveSampleResult(
+                true_count=int(cumulative[hit[0]]),
+                samples_taken=samples_taken + int(hit[0]) + 1,
+                reached_answer_threshold=True,
+                answer_threshold=answer_threshold,
+                max_samples=max_samples,
+            )
+        samples_taken += int(is_true.size)
+        true_count = int(cumulative[-1])
+    return AdaptiveSampleResult(
+        true_count=true_count,
+        samples_taken=samples_taken,
+        reached_answer_threshold=true_count >= answer_threshold,
+        answer_threshold=answer_threshold,
+        max_samples=max_samples,
+    )
+
+
+class TestGroupedEvaluation:
+    """Grouped evaluation must be invisible: same result, same generator state."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        population_seed=st.integers(0, 2**32 - 1),
+        true_fraction=st.sampled_from([0.0, 0.001, 0.01, 0.1, 0.5, 1.0]),
+        answer_threshold=st.integers(1, 60),
+        max_samples=st.integers(1, 3000),
+        batch_size=st.one_of(st.none(), st.integers(1, 300)),
+        draw_seed=st.integers(0, 2**32 - 1),
+        failing_draw=st.one_of(st.none(), st.integers(1, 12)),
+    )
+    def test_matches_batch_at_a_time_reference(
+        self, population_seed, true_fraction, answer_threshold, max_samples, batch_size,
+        draw_seed, failing_draw,
+    ):
+        population = np.where(
+            np.random.default_rng(population_seed).random(997) < true_fraction, 0.9, 0.1
+        )
+        source, evaluator = make_source(population)
+
+        def run(sampler, **kwargs):
+            draws = []
+
+            def failing_source(size, generator):
+                # a stratum too small to draw from fails mid-stream, after
+                # consuming the generator (as the LSH tables' rejection loops do)
+                draws.append(size)
+                pairs = source(size, generator)
+                if len(draws) == failing_draw:
+                    raise InsufficientSampleError("stratum exhausted")
+                return pairs
+
+            try:
+                return sampler(
+                    failing_source, evaluator, 0.5, answer_threshold=answer_threshold,
+                    max_samples=max_samples, **kwargs,
+                )
+            except InsufficientSampleError:
+                return "raised"
+
+        grouped_rng = np.random.default_rng(draw_seed)
+        reference_rng = np.random.default_rng(draw_seed)
+        grouped = run(adaptive_sample, batch_size=batch_size, random_state=grouped_rng)
+        reference = run(
+            _batch_at_a_time,
+            batch_size=batch_size or min(max_samples, max(256, 8 * answer_threshold)),
+            rng=reference_rng,
+        )
+        assert grouped == reference
+        assert grouped_rng.bit_generator.state == reference_rng.bit_generator.state
+        assert grouped_rng.random() == reference_rng.random()
+
+    @pytest.mark.parametrize(("max_samples", "batch_size"), [(1, 1), (77, 10), (256, 16),
+                                                             (1000, 7), (2560, 256)])
+    def test_full_budget_takes_logarithmically_many_evaluator_calls(
+        self, max_samples, batch_size
+    ):
+        source, evaluator = make_source(np.full(100, 0.1))  # never a true pair
+        calls = []
+
+        def counting_evaluator(left, right):
+            calls.append(left.size)
+            return evaluator(left, right)
+
+        result = adaptive_sample(
+            source, counting_evaluator, 0.5, answer_threshold=1, max_samples=max_samples,
+            batch_size=batch_size, random_state=0,
+        )
+        assert result.samples_taken == max_samples == sum(calls)
+        batches = -(-max_samples // batch_size)
+        assert len(calls) <= math.ceil(math.log2(batches + 1))
+
+    def test_failing_draw_after_delta_is_never_reached(self):
+        # δ = 5 true pairs fill the first two 3-pair batches; a batch-at-a-time
+        # loop stops there and never makes the third draw, which would fail
+        source, evaluator = make_source(np.full(100, 0.9))
+        calls = []
+
+        def failing_source(size, rng):
+            calls.append(size)
+            if len(calls) == 3:
+                raise InsufficientSampleError("stratum exhausted")
+            return source(size, rng)
+
+        rng = np.random.default_rng(0)
+        reference_rng = np.random.default_rng(0)
+        result = adaptive_sample(
+            failing_source, evaluator, 0.5, answer_threshold=5, max_samples=100,
+            batch_size=3, random_state=rng,
+        )
+        assert result == _batch_at_a_time(
+            source, evaluator, 0.5, answer_threshold=5, max_samples=100, batch_size=3,
+            rng=reference_rng,
+        )
+        assert result.samples_taken == 5
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_draws_stay_batch_sized(self):
+        requests = []
+        source, evaluator = make_source(np.full(100, 0.1))
+
+        def recording_source(size, rng):
+            requests.append(size)
+            return source(size, rng)
+
+        adaptive_sample(
+            recording_source, evaluator, 0.5, answer_threshold=1, max_samples=95,
+            batch_size=10, random_state=0,
+        )
+        assert requests == [10] * 9 + [5]

@@ -625,6 +625,93 @@ class TestRowStore:
             store.add_many([0, 1, 2], sparse.csr_matrix(np.eye(2)))
 
 
+def _segment_positions(starts, lengths, indptr):
+    """Pool positions of concatenated segments (the pre-CSR-pool gather kernel)."""
+    positions = np.repeat(starts - indptr[:-1], lengths)
+    positions += np.arange(positions.size, dtype=np.int64)
+    return positions
+
+
+def _reference_segments(store, ids, *, normalized):
+    """Gather by explicit pool positions, with no scipy row gather."""
+    slots = store._slot_of[np.asarray(ids, dtype=np.int64)]
+    extents = store._extent_of_slot[slots]
+    starts = store._extent_ptr[extents].astype(np.int64)
+    lengths = store._extent_ptr[extents + 1].astype(np.int64) - starts
+    indptr = np.zeros(len(ids) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    positions = _segment_positions(starts, lengths, indptr)
+    data = store._data[positions]
+    if normalized:
+        sums = np.zeros(len(ids))
+        nonempty = lengths > 0
+        if nonempty.any():
+            sums[nonempty] = np.add.reduceat(data * data, indptr[:-1][nonempty])
+        norms = np.sqrt(sums)
+        data = data * np.repeat(np.where(norms > 0.0, 1.0 / np.where(norms > 0.0, norms, 1.0),
+                                         1.0), lengths)
+    return data, store._indices[positions], lengths
+
+
+class TestRowStoreGatherPropertyBased:
+    """The CSR-pool gather equals a position-based gather under any churn."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(
+        st.tuples(st.sampled_from(["add", "add_many", "remove", "compact", "gather"]),
+                  st.integers(0, 2**32 - 1)),
+        min_size=1, max_size=60,
+    ))
+    def test_segments_match_position_gather(self, operations):
+        from repro.streaming.rowstore import RowStore
+
+        dimension = 9
+        store = RowStore(dimension)
+        reference = {}
+        next_id = 0
+
+        def random_rows(rng, count):
+            dense = (rng.random((count, dimension)) < rng.random()) * rng.normal(
+                size=(count, dimension)
+            )
+            matrix = sparse.csr_matrix(dense)
+            matrix.sort_indices()
+            return matrix
+
+        for op, seed in operations:
+            rng = np.random.default_rng(seed)
+            if op == "add":
+                row = random_rows(rng, 1)
+                store.add(next_id, row)
+                reference[next_id] = row.toarray()[0]
+                next_id += 1
+            elif op == "add_many":
+                count = int(rng.integers(0, 40))
+                matrix = random_rows(rng, count)
+                store.add_many(list(range(next_id, next_id + count)), matrix)
+                for position, row in enumerate(matrix.toarray()):
+                    reference[next_id + position] = row
+                next_id += count
+            elif op == "remove" and reference:
+                for victim in rng.permutation(sorted(reference))[: int(rng.integers(1, 30))]:
+                    store.remove(int(victim))
+                    del reference[int(victim)]
+            elif op == "compact":
+                store._compact()
+            if reference:
+                ids = rng.choice(sorted(reference), size=int(rng.integers(1, 50)))
+                for normalized in (False, True):
+                    got = store.segments(ids, normalized=normalized)
+                    want = _reference_segments(store, ids, normalized=normalized)
+                    for got_part, want_part in zip(got, want):
+                        np.testing.assert_array_equal(got_part, want_part)
+                np.testing.assert_array_equal(
+                    store.gather_raw(ids).toarray(), np.array([reference[i] for i in ids])
+                )
+            store.check_invariants()
+        assert sorted(store.ids().tolist()) == sorted(reference)
+
+
 class TestExternalIdsAndSnapshot:
     def test_insert_with_explicit_ids(self, tiny_collection):
         index = MutableLSHIndex(4, num_hashes=4, random_state=0)
