@@ -15,7 +15,7 @@ Suppression is explicit and auditable.  A finding on line *L* is
 suppressed when line *L* carries::
 
     # reprolint: disable=R001            (one rule)
-    # reprolint: disable=R001,R004       (several)
+    # reprolint: disable=R001,R007       (several)
     # reprolint: disable=R005 - trusted local snapshot file
 
 (anything after the rule list is a free-text reason, encouraged), and a
@@ -24,7 +24,9 @@ whole file opts out of a rule with::
     # reprolint: disable-file=R002 - single-threaded by construction
 
 on any line of the file.  Suppressed findings are counted in the
-report so a build can still surface how much is being waived.
+report so a build can still surface how much is being waived.  A pragma
+that names no known rule (``*`` aside) is itself a ``PRAGMA`` finding,
+so a deleted or mistyped rule id cannot linger as dead suppression.
 """
 
 from __future__ import annotations
@@ -83,12 +85,15 @@ class SourceModule:
         self.line_pragmas: Dict[int, Set[str]] = {}
         #: rule ids disabled for the whole file ("*" = all)
         self.file_pragmas: Set[str] = set()
+        #: every (line, rule id) a pragma names, in file order
+        self.pragma_ids: List[Tuple[int, str]] = []
         for lineno, line in enumerate(self.lines, 1):
             match = _PRAGMA_RE.search(line)
             if match is None:
                 continue
             rules = {rule.strip() for rule in match.group("rules").split(",")}
             rules.discard("")
+            self.pragma_ids.extend((lineno, rule) for rule in sorted(rules))
             if match.group("scope") == "disable-file":
                 self.file_pragmas |= rules
             else:
@@ -288,13 +293,17 @@ def lint_paths(
     """Lint ``paths`` with the (filtered) rule set; the one-call API."""
     from repro.analysis.rules import default_rules
 
-    active = resolve_rules(
-        list(rules) if rules is not None else default_rules(),
-        select=select,
-        disable=disable,
-    )
+    available = list(rules) if rules is not None else default_rules()
+    active = resolve_rules(available, select=select, disable=disable)
     project, parse_errors = load_project(paths)
     findings, suppressed = run_rules(project, active)
+    # a pragma naming no known rule ("*" aside) is a finding of its own
+    known = {"*"} | {rule.id for rule in [*default_rules(), *available]}
+    findings += [
+        Finding("PRAGMA", f"pragma names unknown rule {rule!r}", module.path, line)
+        for module in project for line, rule in module.pragma_ids if rule not in known
+    ]
+    findings.sort(key=lambda finding: finding.sort_key)
     return LintReport(
         findings=findings,
         suppressed=suppressed,

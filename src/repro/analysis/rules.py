@@ -12,7 +12,6 @@ R002 lock-guard-discipline   attributes written under ``self._lock``
                              are never mutated outside it
 R003 protocol-op-parity      every op sent over the transport has a
                              handler, every handler has a sender
-R004 exception-chaining      ``raise`` inside ``except`` uses ``from``
 R005 pickle-boundary         ``pickle.load(s)`` only in the transport
 R006 all-parity              ``__all__`` matches the public defs
 R007 broad-except            ``except Exception`` must be deliberate
@@ -23,19 +22,11 @@ R009 blocking-under-lock     no blocking call (socket/queue/sleep/
                              join/result/subprocess/engine) under a lock
 R010 lock-leak               bare ``.acquire()`` needs a ``finally``-
                              guaranteed ``.release()``
-R011 schema-parity           keys written by ``to_state`` are read by
-                             the paired ``from_state`` and vice versa
-R012 default-drift           no ``.get(k, default)`` of keys the
-                             paired writer always emits
-R013 plain-data              state-dict values are JSON/numpy-plain or
-                             nested ``to_state()`` calls
 ==== ======================= ==========================================
 
 R008–R010 live in :mod:`repro.analysis.concurrency` (they share the
-static lock model with the runtime lockdep harness) and R011–R013 in
-:mod:`repro.analysis.schema` (they share the snapshot-schema model with
-the runtime schema witness); both sets are imported lazily by
-:func:`default_rules` to avoid a circular import.
+static lock model with the runtime lockdep harness) and are imported
+lazily by :func:`default_rules` to avoid a circular import.
 """
 
 from __future__ import annotations
@@ -46,12 +37,10 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.analysis.engine import Finding, Project, Rule, SourceModule
 
+
 # ----------------------------------------------------------------------
 # shared AST helpers
 # ----------------------------------------------------------------------
-_FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-
-
 def dotted_name(node: ast.AST) -> Optional[str]:
     """``a.b.c`` for Attribute/Name chains, else None."""
     parts: List[str] = []
@@ -416,63 +405,17 @@ class ProtocolParityRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# R004 — exception chaining
-# ----------------------------------------------------------------------
-class ExceptionChainingRule(Rule):
-    """``raise`` inside ``except`` must chain (``from err`` / ``from None``).
-
-    An unchained ``raise NewError(...)`` inside a handler attaches the
-    original exception as implicit ``__context__`` with the misleading
-    "during handling … another exception occurred" banner; chaining
-    makes the causal relationship explicit (or suppresses it on
-    purpose).  Bare ``raise`` (re-raise) is always fine.
-    """
-
-    id = "R004"
-    name = "exception-chaining"
-    description = "raise inside except must use `from err` or `from None`"
-
-    def check_module(self, module: SourceModule, project: Project) -> Iterable[Finding]:
-        findings: List[Finding] = []
-
-        def walk(node: ast.AST, in_handler: bool) -> None:
-            if isinstance(node, _FUNCTION_NODES):
-                # a nested function's raise does not run in this handler
-                in_handler = False
-            if isinstance(node, ast.ExceptHandler):
-                in_handler = True
-            if (
-                isinstance(node, ast.Raise)
-                and in_handler
-                and node.exc is not None
-                and node.cause is None
-            ):
-                findings.append(
-                    self.finding(
-                        module, node,
-                        "unchained raise inside an except block — add "
-                        "`from err` (or `from None` to suppress the context)",
-                    )
-                )
-            for child in ast.iter_child_nodes(node):
-                walk(child, in_handler)
-
-        walk(module.tree, False)
-        return findings
-
-
-# ----------------------------------------------------------------------
 # R005 — pickle boundary
 # ----------------------------------------------------------------------
 class PickleBoundaryRule(Rule):
     """Pickle deserialisation stays behind the transport boundary.
 
     ``pickle.loads``/``pickle.load`` executes arbitrary callables, so
-    the ROADMAP's wire-format migration (structured binary frames for
-    untrusted links) only stays honest if deserialisation does not leak
-    into new call sites.  The single allowed module is
-    ``cluster/transport.py``; anything else (snapshot loaders included)
-    must carry an explicit pragma naming its trust justification.
+    deserialisation must not leak into new call sites.  Snapshot files
+    go through the pickle-free :mod:`repro.codec`; the single allowed
+    module is ``cluster/transport.py`` (until the transport moves onto
+    the codec too).  Anything else must carry an explicit pragma naming
+    its trust justification.
     """
 
     id = "R005"
@@ -678,33 +621,23 @@ def default_rules() -> List[Rule]:
         LockLeakRule,
         LockOrderRule,
     )
-    from repro.analysis.schema import (
-        DefaultDriftRule,
-        PlainDataRule,
-        SchemaParityRule,
-    )
 
     return [
         SeedDisciplineRule(),
         LockGuardRule(),
         ProtocolParityRule(),
-        ExceptionChainingRule(),
         PickleBoundaryRule(),
         AllParityRule(),
         BroadExceptRule(),
         LockOrderRule(),
         BlockingUnderLockRule(),
         LockLeakRule(),
-        SchemaParityRule(),
-        DefaultDriftRule(),
-        PlainDataRule(),
     ]
 
 
 __all__ = [
     "AllParityRule",
     "BroadExceptRule",
-    "ExceptionChainingRule",
     "LockGuardRule",
     "PickleBoundaryRule",
     "ProtocolParityRule",

@@ -65,7 +65,7 @@ Sub-commands
     Run reprolint (:mod:`repro.analysis`): the repo-specific static
     analysis enforcing the determinism, locking, and protocol contracts
     (seed discipline, lock-guard discipline, protocol op parity,
-    exception chaining, the pickle boundary, ``__all__`` parity, broad
+    the pickle boundary, ``__all__`` parity, broad
     excepts).  Exit code 0 means no un-pragma'd findings.
 """
 
@@ -327,19 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "of the static acquisition model",
     )
     build_lockdep_report_parser(lockdep_report)
-
-    from repro.analysis.schema import build_schema_report_parser
-
-    schema_report = subparsers.add_parser(
-        "schema-report",
-        help="check observed snapshot key-sets against the static schema "
-             "model and emit the schema inventory",
-        description="schema: verify the key-sets observed by a "
-                    "REPRO_SCHEMA=1 test run are a subset of the static "
-                    "snapshot-schema model, and write the versioned "
-                    "schema-inventory JSON",
-    )
-    build_schema_report_parser(schema_report)
     return parser
 
 
@@ -829,11 +816,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         from repro.analysis.lockdep import run_lockdep_report_from_args
 
         return run_lockdep_report_from_args(args)
-    if args.command == "schema-report":
-        # same contract: 1 = unexplained key, 2 = unreadable observed file
-        from repro.analysis.schema import run_schema_report_from_args
-
-        return run_schema_report_from_args(args)
     try:
         if args.command == "estimate":
             output = _command_estimate(args)

@@ -21,12 +21,14 @@ ingest-throughput gate).
 
 from __future__ import annotations
 
+import multiprocessing
 from typing import Any, Dict, Mapping
 
 from repro.cluster.coordinator import (
     DEFAULT_REQUEST_TIMEOUT,
     ClusterCoordinator,
 )
+from repro.cluster.transport import parse_address
 from repro.engine.backends import ShardedBackend, _check_state, register_backend
 from repro.engine.config import EngineConfig
 from repro.errors import ValidationError
@@ -71,23 +73,52 @@ class ProcessBackend(ShardedBackend):
         ShardedBackend.CAPABILITIES | frozenset({"multi-process"})
     ) - frozenset({"concurrent-read"})
 
+    @classmethod
+    def check_options(cls, options: Mapping[str, Any]) -> None:
+        super().check_options(options)
+        shards = options.get("shards", options.get("num_shards", 4))
+        if "num_shards" in options and shards != options["num_shards"]:
+            raise ValidationError(
+                f"options shards={shards} and num_shards={options['num_shards']} disagree")
+        addresses = options.get("addresses")
+        if addresses is not None:
+            if not isinstance(addresses, (list, tuple)) or len(addresses) != shards:
+                raise ValidationError(
+                    f"option 'addresses' must list one 'host:port' string per shard "
+                    f"({shards}), got {addresses!r}"
+                )
+            for address in addresses:
+                parse_address(address)
+        token = options.get("token")
+        timeout = options.get("request_timeout", DEFAULT_REQUEST_TIMEOUT)
+        if token is not None and not isinstance(token, str):
+            raise ValidationError(f"option 'token' must be a string, got {token!r}")
+        if isinstance(timeout, bool) or not isinstance(timeout, (int, float)) or timeout <= 0:
+            raise ValidationError(f"option 'request_timeout' must be positive, got {timeout!r}")
+        methods = multiprocessing.get_all_start_methods()
+        if options.get("start_method", methods[0]) not in methods:
+            raise ValidationError(
+                f"option 'start_method' must be one of {methods}, got {options['start_method']!r}"
+            )
+
     def __init__(self, config: EngineConfig) -> None:
         super().__init__(config)
-        # normalise the 'shards' alias into 'num_shards' once, up front:
-        # a later rebalance syncs 'num_shards' into the config, and a
-        # stale alias surviving next to it would poison the re-open of a
+        # normalise the 'shards' alias into 'num_shards' once, up front
+        # (check_options already refused a disagreeing pair): a later
+        # rebalance syncs 'num_shards' into the config, and a stale alias
+        # surviving next to it would poison the re-open of a
         # rebalance-synced (or snapshot-embedded) config
         options = dict(config.options)
         if "shards" in options:
-            if "num_shards" in options and int(options["shards"]) != int(
-                options["num_shards"]
-            ):
-                raise ValidationError(
-                    "options 'shards' and 'num_shards' disagree "
-                    f"({options['shards']} vs {options['num_shards']}); give one"
-                )
             options["num_shards"] = int(options.pop("shards"))
             self.config = config.replace(options=options)
+
+    def _adopted_options(self) -> Dict[str, Any]:
+        options = super()._adopted_options()
+        if options.get("addresses") is not None:
+            # a shrink drops the trailing shards, so the first workers stay
+            options["addresses"] = list(options["addresses"])[: self._index.num_shards]
+        return options
 
     def _cluster_kwargs(self) -> Dict[str, Any]:
         options = self.config.options

@@ -918,7 +918,7 @@ class ClusterCoordinator(ShardedMutableIndex):
         an in-process cluster writes restores here (each shard state is
         shipped to a fresh worker), and vice versa.
         """
-        state = cls._unwrap_sharded_state(state)
+        cls._check_sharded_state(state)
         cluster = cls.__new__(cls)
         cluster._init_cluster_plumbing(
             addresses=addresses,
@@ -937,7 +937,7 @@ class ClusterCoordinator(ShardedMutableIndex):
                 )
             cluster._restore_facade_fields(state)
             shard_states = state["shards"]
-            cluster.families = shard_states[0]["families"] if shard_states else []
+            cluster.families = cls._shared_families(state)
             estimator_rngs = spawn(ensure_rng(estimator_seed), num_shards)
             cluster.shards = []
             for shard_id, shard_state in enumerate(shard_states):

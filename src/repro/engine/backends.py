@@ -58,6 +58,7 @@ from repro.shard.partition import resolve_partitioner
 from repro.shard.rebalance import RebalancePlan, plan_rebalance, rebalance_cluster
 from repro.streaming import Checkpoint, Delete, Insert, MutableLSHIndex, StreamingEstimator
 from repro.streaming.mutable_index import coerce_row
+from repro.streaming.rowstore import csr_from_state, csr_state
 from repro.vectors import VectorCollection
 
 _REGISTRY: Dict[str, Type["EstimatorBackend"]] = {}
@@ -293,7 +294,7 @@ class EstimatorBackend(abc.ABC):
     # -- state ---------------------------------------------------------
     @abc.abstractmethod
     def to_state(self) -> Dict[str, Any]:
-        """A picklable checkpoint tagged with ``{"kind": "<kind>-backend"}``."""
+        """A plain checkpoint tagged ``{"kind": "<kind>-backend"}`` (see :mod:`repro.codec`)."""
 
     @classmethod
     @abc.abstractmethod
@@ -524,16 +525,18 @@ class StaticBackend(EstimatorBackend):
 
     # ------------------------------------------------------------------
     def to_state(self) -> Dict[str, Any]:
-        matrix = sparse.vstack(self._blocks, format="csr") if self._blocks else None
-        return {"format": 1, "kind": "static-backend", "matrix": matrix}  # reprolint: disable=R013 - scipy CSR corpus; becomes raw numpy buffer frames in the wire-format migration (ROADMAP)
+        empty = sparse.csr_matrix((0, self.config.dimension or 0))
+        matrix = sparse.vstack(self._blocks, format="csr") if self._blocks else empty
+        return {"format": 1, "kind": "static-backend", **csr_state(matrix)}
 
     @classmethod
     def from_state(cls, config: EngineConfig, state: Mapping[str, Any]) -> "StaticBackend":
         _check_state(state, "static")
         backend = cls(config)
         backend.open()
-        if state["matrix"] is not None:
-            backend.ingest_collection(VectorCollection(state["matrix"], copy=False))
+        matrix = csr_from_state(state)
+        if matrix.shape[0]:
+            backend.ingest_collection(VectorCollection(matrix, copy=False))
         return backend
 
     # ------------------------------------------------------------------
@@ -851,18 +854,20 @@ class ShardedBackend(EstimatorBackend):
             partitioner=target_kind,
             estimator_seed=self.config.seed + 3,
         )
-        self.config = self.config.replace(
-            options={
-                **self.config.options,
-                "num_shards": self._index.num_shards,
-                "partitioner": self._index.partitioner.kind,
-            }
-        )
+        self.config = self.config.replace(options=self._adopted_options())
         if self._index.num_shards != current:
             # resize the router's worker pool to the new shard count
             self._router.close()
             self._attach_serving_stack()
         return plan
+
+    def _adopted_options(self) -> Dict[str, Any]:
+        """Config options describing the cluster after an applied rebalance."""
+        return {
+            **self.config.options,
+            "num_shards": self._index.num_shards,
+            "partitioner": self._index.partitioner.kind,
+        }
 
     # ------------------------------------------------------------------
     def to_state(self) -> Dict[str, Any]:

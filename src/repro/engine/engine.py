@@ -8,7 +8,7 @@ any kind registered later); the lifecycle is always the same::
     engine = JoinEstimationEngine(config).open()
     engine.ingest(collection_or_events)
     result = engine.estimate(EstimateRequest(threshold=0.8))
-    engine.snapshot("cluster.pkl")
+    engine.snapshot("cluster.snap")
     engine.close()
 
 Estimates come back as :class:`EstimateResult` envelopes that carry the
@@ -27,12 +27,12 @@ arithmetic — gated at ≤ 5 % overhead in ``benchmarks/bench_engine.py``.
 from __future__ import annotations
 
 import dataclasses
-import pickle
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, Mapping, Optional, Union
 
+from repro import codec
 from repro.engine.backends import EstimatorBackend, metrics_scope, resolve_backend
 from repro.engine.config import EngineConfig
 from repro.errors import IndexNotBuiltError, ValidationError
@@ -409,7 +409,7 @@ class JoinEstimationEngine:
     # snapshot / restore
     # ------------------------------------------------------------------
     def snapshot(self, path: Union[str, Path]) -> None:
-        """Write config + backend state as one restorable bundle."""
+        """Write config + backend state as one :mod:`repro.codec` snapshot file."""
         with trace("engine.snapshot", backend=self.config.backend):
             state = {
                 "format": 1,
@@ -417,8 +417,7 @@ class JoinEstimationEngine:
                 "config": self.config.to_dict(),
                 "backend": self.backend.to_state(),
             }
-            with open(path, "wb") as handle:
-                pickle.dump(state, handle, protocol=pickle.HIGHEST_PROTOCOL)
+            codec.save(path, "engine-snapshot", state)
 
     @classmethod
     def restore(
@@ -430,35 +429,15 @@ class JoinEstimationEngine:
     ) -> "JoinEstimationEngine":
         """Revive an engine from :meth:`snapshot` output.
 
-        Raw backend snapshots (a bare :meth:`ShardedMutableIndex.snapshot`
-        or :meth:`MutableLSHIndex.snapshot` file, as written by older CLI
-        versions) are also accepted: the config is inferred from the
-        index state, with backend-specific options left at defaults.
-        Passing ``config`` overrides the embedded/inferred one — its
-        backend kind must match the snapshot's.
+        A raw :meth:`ShardedMutableIndex.snapshot` or :meth:`MutableLSHIndex.snapshot`
+        file is accepted too, its config inferred (backend options at defaults).
+        ``config`` overrides the embedded/inferred one; its backend kind must match.
         """
-        path = Path(path)
-        if not path.is_file():
-            raise ValidationError(f"engine snapshot not found: {path}")
-        with open(path, "rb") as handle:
-            state = pickle.load(handle)  # reprolint: disable=R005 - operator-supplied local snapshot file, same trust domain as the process
-        if not isinstance(state, Mapping):
-            raise ValidationError(f"{path} is not an engine or index snapshot")
-        if state.get("kind") == "engine-snapshot":
-            if state.get("format") != 1:
-                raise ValidationError(
-                    f"unsupported engine snapshot format {state.get('format')!r}"
-                )
-            snapshot_config = EngineConfig.from_dict(state["config"])
-            backend_state = state["backend"]
-        elif state.get("kind") == "sharded":  # raw ShardedMutableIndex snapshot
-            snapshot_config = cls._inferred_config("sharded", state)
-            backend_state = {"format": 1, "kind": "sharded-backend", "index": state}
-        elif state.get("format") == 1 and "tables" in state:  # raw MutableLSHIndex
-            snapshot_config = cls._inferred_config("streaming", state)
-            backend_state = {"format": 1, "kind": "streaming-backend", "index": state}
+        config_dict, backend_state = codec.load(path)
+        if config_dict is not None:
+            snapshot_config = EngineConfig.from_dict(config_dict)
         else:
-            raise ValidationError(f"{path} is not an engine or index snapshot")
+            snapshot_config = cls._inferred_config(backend_state)
         if config is not None:
             config = EngineConfig.coerce(config)
             if config.backend != snapshot_config.backend:
@@ -478,13 +457,14 @@ class JoinEstimationEngine:
         return engine
 
     @staticmethod
-    def _inferred_config(backend: str, state: Mapping[str, Any]) -> EngineConfig:
+    def _inferred_config(backend_state: Mapping[str, Any]) -> EngineConfig:
         """Best-effort config for a raw index snapshot (family stays default)."""
+        index = backend_state["index"]
         return EngineConfig(
-            backend=backend,
-            num_hashes=int(state["num_hashes"]),  # reprolint: disable=R011 - raw-index-snapshot branch: reads MutableLSHIndex/ShardedMutableIndex schema, not the engine's own
-            num_tables=int(state["num_tables"]),  # reprolint: disable=R011 - raw-index-snapshot branch: reads MutableLSHIndex/ShardedMutableIndex schema, not the engine's own
-            dimension=int(state["dimension"]),  # reprolint: disable=R011 - raw-index-snapshot branch: reads MutableLSHIndex/ShardedMutableIndex schema, not the engine's own
+            backend=str(backend_state["kind"]).removesuffix("-backend"),
+            num_hashes=int(index["num_hashes"]),
+            num_tables=int(index["num_tables"]),
+            dimension=int(index["dimension"]),
         )
 
     # ------------------------------------------------------------------

@@ -29,13 +29,13 @@ have received in a build-once batch hash.
 from __future__ import annotations
 
 import abc
-from typing import Optional, Union
+from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 from scipy import sparse, stats
 
 from repro.errors import ValidationError
-from repro.rng import RandomState, ensure_rng
+from repro.rng import RandomState, ensure_rng, generator_from_state, generator_state
 from repro.vectors.collection import VectorCollection
 
 _MERSENNE_PRIME = (1 << 61) - 1
@@ -93,6 +93,8 @@ class LSHFamily(abc.ABC):
         self.num_hashes = int(num_hashes)
         self._rng = ensure_rng(random_state)
         self._initialised_dimension: Optional[int] = None
+        #: generator position just before the parameters were drawn
+        self._rng_state: Optional[Dict[str, Any]] = None
 
     # ------------------------------------------------------------------
     @abc.abstractmethod
@@ -120,6 +122,7 @@ class LSHFamily(abc.ABC):
         if dimension < 1:
             raise ValidationError(f"dimension must be >= 1, got {dimension}")
         if self._initialised_dimension is None:
+            self._rng_state = generator_state(self._rng)
             self._initialise(int(dimension))
             self._initialised_dimension = int(dimension)
         elif self._initialised_dimension != dimension:
@@ -162,6 +165,41 @@ class LSHFamily(abc.ABC):
     def bucket_collision_probability(self, similarity: np.ndarray) -> np.ndarray:
         """Probability that ``g(u) = g(v)``, i.e. all ``k`` hashes collide."""
         return self.collision_probability(similarity) ** self.num_hashes
+
+    # ------------------------------------------------------------------
+    #: constructor keyword arguments a snapshot carries, beyond ``num_hashes``
+    _PARAMS: Tuple[str, ...] = ()
+
+    def to_state(self) -> Dict[str, Any]:
+        """A plain checkpoint holding the generator state from just before the
+        parameters were drawn (not the parameters): :meth:`from_state` replays
+        the draw bit for bit.  Only the three shipped families qualify."""
+        if _FAMILY_KINDS.get(self.similarity) is not type(self):
+            raise ValidationError(f"{type(self).__name__} is not a snapshottable LSH family")
+        bound = self._initialised_dimension is not None
+        return {
+            "kind": "lsh-family",
+            "family": self.similarity,
+            "num_hashes": self.num_hashes,
+            "dimension": self._initialised_dimension,
+            "rng": self._rng_state if bound else generator_state(self._rng),
+            "params": {name: getattr(self, name) for name in self._PARAMS},
+        }
+
+    @classmethod
+    def from_state(cls, state: Mapping[str, Any]) -> "LSHFamily":
+        """Rebuild a family from :meth:`to_state` output."""
+        found = _FAMILY_KINDS.get(str(state.get("family")))
+        if state.get("kind") != "lsh-family" or not (found and issubclass(found, cls)):
+            raise ValidationError(f"not a {cls.__name__} state: family {state.get('family')!r}")
+        try:
+            rng = generator_from_state(dict(state["rng"]))
+            family = found(int(state["num_hashes"]), random_state=rng, **dict(state["params"]))
+        except TypeError as error:
+            raise ValidationError(f"bad LSH family parameters: {error}") from error
+        if state["dimension"] is not None:
+            family.ensure_initialised(int(state["dimension"]))
+        return family
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"{type(self).__name__}(k={self.num_hashes}, similarity={self.similarity!r})"
@@ -270,6 +308,7 @@ class PStableL2Family(LSHFamily):
     """
 
     similarity = "euclidean"
+    _PARAMS = ("bucket_width",)
 
     def __init__(
         self,
@@ -318,6 +357,10 @@ class PStableL2Family(LSHFamily):
             return float(result)
         return result
 
+
+#: The checkpointable families, by similarity measure.
+_FAMILY_KINDS = {cls.similarity: cls for cls in (SignRandomProjectionFamily, MinHashFamily,
+                                                 PStableL2Family)}
 
 __all__ = [
     "LSHFamily",

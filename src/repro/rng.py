@@ -68,14 +68,22 @@ def derive_seed(rng: np.random.Generator) -> int:
 
 
 def generator_state(rng: np.random.Generator) -> Dict[str, Any]:
-    """A picklable snapshot of a generator's exact position in its stream.
+    """A plain (JSON-ready) snapshot of a generator's exact stream position.
 
     Together with :func:`generator_from_state` this lets stateful
     components (e.g. the streaming estimator's reservoir maintenance)
     checkpoint and resume *bit-identically*: every draw after a restore
-    equals the draw the original generator would have produced.
+    equals the draw the original generator would have produced.  Array
+    parts of a bit generator's state (MT19937's key, for one) become
+    lists, which numpy's state setters accept back.
     """
-    return dict(rng.bit_generator.state)
+
+    def plain(value: Any) -> Any:
+        if isinstance(value, dict):
+            return {key: plain(item) for key, item in value.items()}
+        return value.tolist() if isinstance(value, np.ndarray) else value
+
+    return plain(rng.bit_generator.state)
 
 
 def generator_from_state(state: Dict[str, Any]) -> np.random.Generator:

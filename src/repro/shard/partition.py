@@ -221,7 +221,7 @@ def resolve_partitioner(
 
 
 def partitioner_state(partitioner: Partitioner) -> Dict[str, object]:
-    """A picklable description of a partitioner (snapshot substrate)."""
+    """A plain description of a partitioner (snapshot substrate)."""
     return {"kind": partitioner.kind, "num_shards": partitioner.num_shards}
 
 

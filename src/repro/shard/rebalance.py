@@ -9,10 +9,10 @@ with their member lists and rows — between shards.  This module does that
 * :func:`split_index_state` / :func:`splice_index_state` operate on
   :meth:`~repro.streaming.mutable_index.MutableLSHIndex.to_state`
   snapshots: the first filters a shard's state by a bucket-key
-  predicate into a *remaining* state and a picklable *migration
+  predicate into a *remaining* state and a plain *migration
   payload* (rows, per-table bucket fragments, moved-pair counts); the
   second splices a payload into another shard's state.  Payloads are
-  plain picklable dicts, so a key range can be shipped to a shard on
+  plain dicts, so a key range can be shipped to a shard on
   another node exactly like a checkpoint can.
 * :func:`plan_rebalance` diffs the facade's live bucket owners against
   a target partitioner in one vectorised pass and returns a
@@ -49,6 +49,7 @@ from repro.shard.partition import (
     resolve_partitioner,
 )
 from repro.shard.sharded_index import ShardedMutableIndex
+from repro.streaming.rowstore import csr_from_state, csr_state
 
 
 # ----------------------------------------------------------------------
@@ -127,16 +128,11 @@ def _split_index_state_groups(
         int(vector_id): position
         for position, vector_id in enumerate(rows_state["ids"])
     }
-    matrix = rows_state["matrix"].tocsr()
+    matrix = csr_from_state(rows_state)
 
     def select_rows(subset: List[int]) -> Dict[str, object]:
-        if subset:
-            selected = matrix[
-                np.asarray([row_position[v] for v in subset], dtype=np.int64)
-            ]
-        else:
-            selected = sparse.csr_matrix((0, int(rows_state["dimension"])))
-        return {"dimension": rows_state["dimension"], "ids": list(subset), "matrix": selected}
+        rows = np.asarray([row_position[v] for v in subset], dtype=np.int64)
+        return {"ids": list(subset), **csr_state(matrix[rows])}
 
     remaining_state = dict(state)
     remaining_state["live_ids"] = kept_live
@@ -166,7 +162,7 @@ def split_index_state(
 
     Returns ``(remaining_state, payload)``: the snapshot with the
     selected buckets (and every vector they contain) removed, and a
-    picklable migration payload for :func:`splice_index_state`.  The
+    plain migration payload for :func:`splice_index_state`.  The
     selected keys must all be live primary buckets.  Bucket member
     lists and live-id order are preserved on both sides, which is what
     keeps the facade's merged SampleH layout — and therefore exact-mode
@@ -222,16 +218,16 @@ def splice_index_state(
                     merged[slot][1].extend(members)
         merged_tables.append(merged)
     target_rows = state["rows"]
-    payload_rows = payload["rows"]
-    merged_rows = {
-        "dimension": target_rows["dimension"],
-        "ids": list(target_rows["ids"]) + list(payload_rows["ids"]),
-        "matrix": sparse.vstack(
-            [target_rows["matrix"].tocsr(), payload_rows["matrix"].tocsr()], format="csr"
+    merged_rows = dict(target_rows)
+    if arriving:
+        payload_rows = payload["rows"]
+        merged = sparse.vstack(
+            [csr_from_state(target_rows), csr_from_state(payload_rows)], format="csr"
         )
-        if arriving
-        else target_rows["matrix"],
-    }
+        merged_rows = {
+            "ids": list(target_rows["ids"]) + list(payload_rows["ids"]),
+            **csr_state(merged),
+        }
     merged_state = dict(state)
     merged_state["live_ids"] = [int(i) for i in state["live_ids"]] + arriving
     merged_state["rows"] = merged_rows

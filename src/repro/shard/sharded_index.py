@@ -32,16 +32,16 @@ any bucket at query time.
 
 from __future__ import annotations
 
-import pickle
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from concurrent.futures import Executor
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Type, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Type, Union, cast
 
 import numpy as np
 from scipy import sparse
 
+from repro import codec
 from repro.errors import InsufficientSampleError, ValidationError
 from repro.lsh.families import LSHFamily
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry, get_global_registry
@@ -851,13 +851,13 @@ class ShardedMutableIndex:
         caller decides whether to redraw).
         """
         shard = self.shards[shard_id]
-        new_index = MutableLSHIndex.from_state(state)
+        new_index = MutableLSHIndex.from_state(state, families=self.families)
         restored = new_index.estimators
         shard.index = new_index
         shard.estimator = restored[0] if restored else None
 
     def to_state(self) -> Dict[str, object]:
-        """A picklable checkpoint of the facade and every shard.
+        """A plain checkpoint of the facade and every shard.
 
         Per-shard estimator reservoirs travel inside each shard's state
         (:meth:`MutableLSHIndex.to_state` embeds its registered
@@ -904,13 +904,14 @@ class ShardedMutableIndex:
         snapshot) is a fresh estimator drawn, seeded from
         ``estimator_seed``.
         """
-        state = cls._unwrap_sharded_state(state)
+        cls._check_sharded_state(state)
         sharded = cls.__new__(cls)
         sharded._restore_facade_fields(state)
         estimator_rngs = spawn(ensure_rng(estimator_seed), int(state["num_shards"]))
+        sharded.families = cls._shared_families(state)
         sharded.shards = []
         for shard_id, shard_state in enumerate(state["shards"]):
-            index = MutableLSHIndex.from_state(shard_state)
+            index = MutableLSHIndex.from_state(shard_state, families=sharded.families)
             restored = index.estimators
             if not sharded._shard_estimators:
                 for estimator in restored:  # flag toggled off: detach
@@ -923,22 +924,21 @@ class ShardedMutableIndex:
                     index, random_state=estimator_rngs[shard_id], **sharded._estimator_kwargs
                 )
             sharded.shards.append(IndexShard(shard_id, index, estimator))
-        sharded.families = sharded.shards[0].index.families if sharded.shards else []
         sharded._restore_facade_bookkeeping(state)
         sharded._refresh_owner_alignment()
         restore_estimator_states(sharded, state.get("estimators", ()))
         return sharded
 
     @staticmethod
-    def _unwrap_sharded_state(state: Mapping[str, object]) -> Mapping[str, object]:
-        """Validate (and engine-unwrap) a sharded-index snapshot state."""
-        if state.get("kind") == "engine-snapshot":
-            # engine bundles wrap the index state; unwrap so low-level
-            # tooling keeps working on front-door snapshots
-            state = state.get("backend", {}).get("index", {})
+    def _check_sharded_state(state: Mapping[str, object]) -> None:
         if state.get("format") != 1 or state.get("kind") != "sharded":
             raise ValidationError("not a sharded-index snapshot")
-        return state
+
+    @staticmethod
+    def _shared_families(state: Mapping[str, object]) -> List[LSHFamily]:
+        """The hash families every shard shares, rebuilt once from shard 0's state."""
+        shard_states = cast(Sequence[Mapping[str, Any]], state["shards"])
+        return [LSHFamily.from_state(family) for family in shard_states[0]["families"]]
 
     def _restore_facade_fields(self, state: Mapping[str, object]) -> None:
         """Restore the scalar facade fields (shared with the cluster restore)."""
@@ -988,18 +988,16 @@ class ShardedMutableIndex:
         self._frozen = None
 
     def snapshot(self, path: Union[str, Path]) -> None:
-        """Serialise the whole cluster state to one file."""
-        with open(path, "wb") as handle:
-            pickle.dump(self.to_state(), handle, protocol=pickle.HIGHEST_PROTOCOL)
+        """Write the whole cluster state to one :mod:`repro.codec` snapshot file."""
+        codec.save(path, "sharded-index", self.to_state())
 
     @classmethod
     def restore(
         cls, path: Union[str, Path], *, estimator_seed: RandomState = None
     ) -> "ShardedMutableIndex":
-        """Revive a cluster from a :meth:`snapshot` file."""
-        with open(path, "rb") as handle:
-            state = pickle.load(handle)  # reprolint: disable=R005 - operator-supplied local snapshot file, same trust domain as the process
-        return cls.from_state(state, estimator_seed=estimator_seed)
+        """Revive a cluster from a :meth:`snapshot` file or a sharded/process engine snapshot."""
+        _, backend = codec.load(path, backends=("sharded", "process"))
+        return cls.from_state(backend["index"], estimator_seed=estimator_seed)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (

@@ -150,7 +150,7 @@ class _PairReservoir:
         )
 
     def state(self) -> Dict[str, object]:
-        """A picklable snapshot: sampled pairs plus the staleness counters."""
+        """A plain snapshot: sampled pairs plus the staleness counters."""
         return {
             "target_size": self.target_size,
             "left": list(self.left),
@@ -258,7 +258,7 @@ class StreamingEstimator(SimilarityJoinSizeEstimator):
     # snapshot / restore
     # ------------------------------------------------------------------
     def to_state(self) -> Dict[str, object]:
-        """A picklable checkpoint of the sampled state.
+        """A plain checkpoint of the sampled state.
 
         Captures both reservoirs (pairs, staleness counters, degraded
         flags) *and* the maintenance generator's exact stream position,

@@ -27,20 +27,21 @@ exactly the strata sizes (``N_H`` / ``N_L``) a fresh batch build over the
 final collection would produce.
 
 Indexes can be checkpointed with :meth:`MutableLSHIndex.snapshot` and
-revived with :meth:`MutableLSHIndex.restore`: the snapshot serialises the
-rows, the bucket layout (including dict iteration order, so sampling
-draws replay identically), and the hash families themselves.
+revived with :meth:`MutableLSHIndex.restore` (a :mod:`repro.codec` file):
+the snapshot holds the rows, the bucket layout (including dict iteration
+order, so sampling draws replay identically), and the hash families'
+generator states, from which the same hash functions are re-drawn.
 """
 
 from __future__ import annotations
 
-import pickle
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Type, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Type, Union, cast
 
 import numpy as np
 from scipy import sparse
 
+from repro import codec
 from repro.errors import InsufficientSampleError, ValidationError
 from repro.lsh.families import LSHFamily
 from repro.lsh.index import resolve_family
@@ -884,7 +885,7 @@ class MutableLSHIndex:
     # snapshot / restore
     # ------------------------------------------------------------------
     def to_state(self) -> Dict[str, object]:
-        """A picklable checkpoint: rows, bucket layouts, families, estimators.
+        """A plain checkpoint: rows, bucket layouts, families, estimators.
 
         Bucket dict iteration order and the live-id order are both
         preserved, so a restored index produces the same sampling draws
@@ -906,7 +907,7 @@ class MutableLSHIndex:
             "next_id": self._next_id,
             "live_ids": list(self._live_ids),
             "rows": self._rows.state(),
-            "families": self.families,  # reprolint: disable=R013 - LSHFamily carries its seeded hyperplanes; gains its own to_state() in the wire-format migration (ROADMAP)
+            "families": [family.to_state() for family in self.families],
             "tables": [table.bucket_state() for table in self.tables],
         }
         estimator_states = collect_estimator_states(self._observers)
@@ -915,33 +916,28 @@ class MutableLSHIndex:
         return state
 
     @classmethod
-    def from_state(cls, state: Mapping[str, object]) -> "MutableLSHIndex":
+    def from_state(
+        cls, state: Mapping[str, object], *, families: Optional[Sequence[LSHFamily]] = None
+    ) -> "MutableLSHIndex":
         """Rebuild an index from :meth:`to_state` output (no re-hashing).
 
         Estimator states embedded by :meth:`to_state` are restored and
         re-registered as observers; retrieve them via
-        ``index.estimators`` (they resume bit-identically).
+        ``index.estimators`` (they resume bit-identically).  ``families``
+        (built instances) replaces the state's family states.
         """
-        if state.get("kind") == "engine-snapshot":
-            # engine bundles wrap the index state; unwrap so low-level
-            # tooling keeps working on front-door snapshots
-            backend_state = state.get("backend", {})
-            if backend_state.get("kind") != "streaming-backend":
-                raise ValidationError(
-                    "engine snapshot wraps a "
-                    f"{backend_state.get('kind', 'unknown')!r} state, not a "
-                    "streaming index; restore it with JoinEstimationEngine.restore"
-                )
-            state = backend_state.get("index", {})
         if state.get("format") != 1:
             raise ValidationError(
                 f"unsupported snapshot format {state.get('format')!r}"
             )
+        if families is None:
+            family_states = cast(Sequence[Mapping[str, Any]], state["families"])
+            families = [LSHFamily.from_state(family) for family in family_states]
         index = cls(
             int(state["dimension"]),
             num_hashes=int(state["num_hashes"]),
             num_tables=int(state["num_tables"]),
-            families=state["families"],
+            families=families,
         )
         index._rows = RowStore.from_state(state["rows"])
         index._live_ids = [int(i) for i in state["live_ids"]]
@@ -964,16 +960,14 @@ class MutableLSHIndex:
         )
 
     def snapshot(self, path: Union[str, Path]) -> None:
-        """Serialise the index to ``path`` (buckets + rows + families)."""
-        with open(path, "wb") as handle:
-            pickle.dump(self.to_state(), handle, protocol=pickle.HIGHEST_PROTOCOL)
+        """Write the index to ``path`` as a :mod:`repro.codec` snapshot file."""
+        codec.save(path, "mutable-index", self.to_state())
 
     @classmethod
     def restore(cls, path: Union[str, Path]) -> "MutableLSHIndex":
-        """Revive an index from a :meth:`snapshot` file."""
-        with open(path, "rb") as handle:
-            state = pickle.load(handle)  # reprolint: disable=R005 - operator-supplied local snapshot file, same trust domain as the process
-        return cls.from_state(state)
+        """Revive an index from a :meth:`snapshot` file or a streaming engine snapshot."""
+        _, backend = codec.load(path, backends=("streaming",))
+        return cls.from_state(backend["index"])
 
     def check_invariants(self) -> None:
         """Verify bookkeeping across all tables (tests / debugging aid)."""

@@ -109,6 +109,21 @@ def csr_from_segments(
     return sparse.csr_matrix((data, indices, indptr), shape=(lengths.size, dimension))
 
 
+def csr_state(matrix: sparse.csr_matrix) -> Dict[str, object]:
+    """A CSR matrix as snapshot fields: its dimension and three raw arrays."""
+    return {"dimension": int(matrix.shape[1]), "data": matrix.data,
+            "indices": matrix.indices, "indptr": matrix.indptr}
+
+
+def csr_from_state(state: Mapping[str, object]) -> sparse.csr_matrix:
+    """The CSR matrix of a :func:`csr_state` (extra keys are ignored)."""
+    indptr = np.asarray(state["indptr"])
+    return sparse.csr_matrix(
+        (np.asarray(state["data"]), np.asarray(state["indices"]), indptr),
+        shape=(indptr.size - 1, int(cast(int, state["dimension"]))),
+    )
+
+
 def stitch_segments(
     parts: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
     num_rows: int,
@@ -420,17 +435,17 @@ class RowStore:
     # serialisation (snapshot/restore substrate)
     # ------------------------------------------------------------------
     def state(self) -> Dict[str, object]:
-        """A picklable snapshot of the live rows (ids + one CSR matrix)."""
+        """A snapshot of the live rows: ids plus their CSR arrays (row ``i`` is ``ids[i]``)."""
         ids = self.ids()
         matrix = self.gather_raw(ids) if ids.size else sparse.csr_matrix((0, self.dimension))
-        return {"dimension": self.dimension, "ids": ids.tolist(), "matrix": matrix}  # reprolint: disable=R013 - scipy CSR rows; becomes raw numpy buffer frames in the wire-format migration (ROADMAP)
+        return {"ids": ids.tolist(), **csr_state(matrix)}
 
     @classmethod
     def from_state(cls, state: Mapping[str, object]) -> "RowStore":
-        store = cls(int(state["dimension"]))
-        ids = cast(List[int], state["ids"])
+        store = cls(int(cast(int, state["dimension"])))
+        ids = [int(i) for i in cast(Sequence[int], state["ids"])]
         if ids:
-            store.add_many(ids, cast(sparse.spmatrix, state["matrix"]).tocsr())
+            store.add_many(ids, csr_from_state(state))
         return store
 
     def check_invariants(self) -> None:
@@ -465,6 +480,8 @@ class RowStore:
 __all__ = [
     "RowStore",
     "csr_from_segments",
+    "csr_from_state",
+    "csr_state",
     "grow_id_column",
     "lookup_id_column",
     "new_id_column",

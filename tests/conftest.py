@@ -8,7 +8,10 @@ deterministic (fixed seeds) so tests can assert on stable quantities.
 
 from __future__ import annotations
 
+import multiprocessing
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -45,63 +48,62 @@ if os.environ.get("REPRO_LOCKDEP") == "1":
 
     _LOCKDEP_STATE = _lockdep.install()
 
-# ----------------------------------------------------------------------
-# runtime schema witness (REPRO_SCHEMA=1): wrap every to_state/from_state
-# on the snapshot-bearing classes, record the key-sets the suite actually
-# touches, and dump them at session end for `repro schema-report` to
-# check against the static model (observed ⊆ static, else the extractor
-# lost a flow path).  Installed at import time, before any fixture can
-# bind a method reference.
-# ----------------------------------------------------------------------
-_SCHEMA_WITNESS = None
-if os.environ.get("REPRO_SCHEMA") == "1":
-    from repro.analysis import schema as _schema
 
-    _SCHEMA_WITNESS = _schema.install_witness()
+# ----------------------------------------------------------------------
+# leak witness: no test may leave a *new* `repro-*` thread or child
+# process alive after a 2 s join grace (module/session cluster fixtures
+# keep workers across tests on purpose, so what existed before the test
+# is exempt); at session end nothing is exempt.
+# ----------------------------------------------------------------------
+def _surviving(threads_before=frozenset(), children_before=frozenset()):
+    def alive():
+        threads = [t for t in threading.enumerate()
+                   if t.name.startswith("repro-") and t not in threads_before]
+        return threads + [c for c in multiprocessing.active_children() if c not in children_before]
+
+    deadline = time.monotonic() + 2.0
+    for leftover in alive():
+        leftover.join(max(0.0, deadline - time.monotonic()))
+    return [f"{type(leftover).__name__} {leftover.name}" for leftover in alive()]
+
+
+@pytest.fixture(autouse=True)
+def _leak_witness():
+    before = frozenset(threading.enumerate()), frozenset(multiprocessing.active_children())
+    yield
+    leaked = _surviving(*before)
+    if leaked:
+        pytest.fail(f"test leaked {', '.join(leaked)}", pytrace=False)
 
 
 def pytest_sessionfinish(session, exitstatus):
     import json
 
-    if _SCHEMA_WITNESS is not None:
-        observed = _SCHEMA_WITNESS.to_dict()
-        observed_path = os.environ.get(
-            "REPRO_SCHEMA_OBSERVED", "schema_observed.json"
-        )
-        with open(observed_path, "w", encoding="utf-8") as handle:
-            json.dump(observed, handle, indent=2, sort_keys=True)
-        reporter = session.config.pluginmanager.get_plugin("terminalreporter")
-        keys = sum(len(names) for names in observed["observed"].values())
-        line = (
-            f"schema: {len(observed['observed'])} witnessed entr(ies), "
-            f"{keys} key(s) -> {observed_path}"
-        )
-        if reporter is not None:
-            reporter.write_line(line)
-        else:
-            print(line)
-
-    if _LOCKDEP_STATE is None:
-        return
-    graph = _LOCKDEP_STATE.graph()
-    graph_path = os.environ.get("REPRO_LOCKDEP_GRAPH", "lockdep_graph.json")
-    with open(graph_path, "w", encoding="utf-8") as handle:
-        json.dump(graph, handle, indent=2, sort_keys=True)
     reporter = session.config.pluginmanager.get_plugin("terminalreporter")
-    lines = [
-        f"lockdep: {len(graph['locks'])} lock(s), {graph['acquires']} "
-        f"acquire(s), {len(graph['edges'])} ordered edge(s) -> {graph_path}"
-    ]
-    lines += [f"lockdep CYCLE: {' -> '.join(cycle)}" for cycle in graph["cycles"]]
+    lines = []
+    leaked = _surviving()
+    if leaked:
+        lines.append(f"leak witness: still alive at session end: {', '.join(leaked)}")
+        session.exitstatus = 1
+    if _LOCKDEP_STATE is not None:
+        graph = _LOCKDEP_STATE.graph()
+        graph_path = os.environ.get("REPRO_LOCKDEP_GRAPH", "lockdep_graph.json")
+        with open(graph_path, "w", encoding="utf-8") as handle:
+            json.dump(graph, handle, indent=2, sort_keys=True)
+        lines.append(
+            f"lockdep: {len(graph['locks'])} lock(s), {graph['acquires']} "
+            f"acquire(s), {len(graph['edges'])} ordered edge(s) -> {graph_path}"
+        )
+        lines += [f"lockdep CYCLE: {' -> '.join(cycle)}" for cycle in graph["cycles"]]
+        if graph["cycles"]:
+            # a lock-order cycle is a potential deadlock even though this
+            # run survived it — fail the session
+            session.exitstatus = 1
     for line in lines:
         if reporter is not None:
             reporter.write_line(line)
         else:
             print(line)
-    if graph["cycles"]:
-        # a lock-order cycle is a potential deadlock even though this
-        # run survived it — fail the session
-        session.exitstatus = 1
 
 
 @pytest.fixture

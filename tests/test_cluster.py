@@ -120,12 +120,11 @@ class TestProcessBackendFidelity:
         finally:
             revived.close()
         # cross shape: the embedded index state revives in process too
-        import pickle
+        from repro import codec
 
-        with open(path, "rb") as handle:
-            state = pickle.load(handle)
+        _, backend_state = codec.load(path)
         in_process = ShardedMutableIndex.from_state(
-            state["backend"]["index"], estimator_seed=SEED + 2
+            backend_state["index"], estimator_seed=SEED + 2
         )
         in_process.check_invariants()
         merged = ShardedStreamingEstimator(in_process)
@@ -257,16 +256,21 @@ class TestClusterFailurePaths:
             )
 
     def test_option_validation(self):
-        # conflicting shard-count aliases are rejected when the backend opens
-        config = EngineConfig(
-            backend="process", dimension=8, options={"shards": 2, "num_shards": 3}
-        )
+        # conflicting shard-count aliases are rejected when the config is built
         with pytest.raises(ValidationError):
-            JoinEstimationEngine(config).open()
+            EngineConfig(backend="process", dimension=8, options={"shards": 2, "num_shards": 3})
         with pytest.raises(ValidationError):
             EngineConfig(backend="process", dimension=8, options={"bogus": 1})
         with pytest.raises(ValidationError):
             ClusterCoordinator(8, num_shards=3, addresses=["127.0.0.1:1024"])
+
+    def test_shrink_keeps_addresses_matching_the_shard_count(self):
+        config = EngineConfig(backend="process", dimension=8,
+                              options={"shards": 3, "addresses": ["h:1", "h:2", "h:3"]})
+        backend = ProcessBackend(config)  # never opened: no worker is dialled
+        backend._index = ShardedMutableIndex(8, num_shards=2, num_hashes=4, random_state=1)
+        adopted = config.replace(options=backend._adopted_options())  # re-validates
+        assert adopted.options["addresses"] == ["h:1", "h:2"]
 
     def test_parse_address(self):
         assert parse_address("localhost:1234") == ("localhost", 1234)

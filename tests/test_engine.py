@@ -194,10 +194,21 @@ class TestConfigToEstimate:
             ("sharded", {"estimator_kwargs": {"nope": 1}}),
             ("static", {"estimator": "bogus"}),
             ("static", {"estimator": "lsh-ss-d", "estimator_kwargs": {"dampening": 0.5}}),
+            # process-backend options: construction only, no worker spawns
+            ("process", {"addresses": "127.0.0.1:9000"}),
+            ("process", {"addresses": ["127.0.0.1"]}),
+            ("process", {"addresses": [9000]}),
+            ("process", {"shards": 2, "addresses": ["127.0.0.1:9000"]}),
+            ("process", {"token": 1234}),
+            ("process", {"request_timeout": 0}),
+            ("process", {"request_timeout": "soon"}),
+            ("process", {"request_timeout": None}),
+            ("process", {"start_method": "bogus"}),
+            ("process", {"shards": 2, "num_shards": 3}),
         ],
     )
     def test_out_of_domain_option_rejected_at_construction(self, backend, options):
-        with pytest.raises(ValidationError, match="option|estimator|partitioner"):
+        with pytest.raises(ValidationError, match="option|estimator|partitioner|address"):
             EngineConfig(backend=backend, dimension=6, options=options)
 
     def test_in_domain_options_accepted(self):
@@ -212,6 +223,9 @@ class TestConfigToEstimate:
         EngineConfig(backend="static", options={
             "estimator": "rs", "estimator_kwargs": {"sample_size": 10},
         })
+        EngineConfig(backend="process", dimension=6, options={
+            "shards": 2, "num_shards": 2, "addresses": ["127.0.0.1:9000", "localhost:9001"],
+            "token": "secret", "request_timeout": 2.5, "start_method": "spawn"})
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
